@@ -60,7 +60,7 @@ from .specfun import (
     log_gamma,
     reg_inc_beta,
 )
-from .submodels import DEFAULT_COMPARE, MODELS, ModelSpec, constraints, get_model
+from .submodels import DEFAULT_COMPARE, MODELS, ModelSpec, get_model
 
 __version__ = "0.1.0"
 
@@ -84,7 +84,6 @@ __all__ = [
     "baseline_quantile",
     "baseline_sample",
     "beta_fn",
-    "constraints",
     "cvm_stat",
     "digamma",
     "erl_cdf",

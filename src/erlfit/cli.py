@@ -21,17 +21,15 @@ import numpy as np
 
 from .core import (
     ErlParams,
+    central_from_raw,
     erl_cdf,
-    erl_central_moments,
-    erl_cv,
     erl_hazard,
-    erl_kurtosis,
     erl_pdf,
     erl_quantile,
     erl_raw_moment,
     erl_sample,
-    erl_skewness,
     erl_survival,
+    shape_summaries,
 )
 from .errors import InputError, NumericalError
 from .estimation import Dataset, FitConfig, FitResult, fit_mle, nll, standard_errors
@@ -248,17 +246,20 @@ def run_curves(params: ErlParams, rows: int = 512) -> dict:
 
 
 def run_moments(params: ErlParams) -> dict:
-    mean, mu2, mu3, mu4 = erl_central_moments(params)
+    raw = [erl_raw_moment(r, params) for r in (1, 2, 3, 4)]
+    central = central_from_raw(raw)
+    mean, mu2, mu3, mu4 = central
+    skewness, kurtosis, cv = shape_summaries(central)
     return {
         "params": _params_dict(params),
-        "raw": {str(r): erl_raw_moment(r, params) for r in (1, 2, 3, 4)},
+        "raw": {str(r): value for r, value in enumerate(raw, start=1)},
         "mean": mean,
         "variance": mu2,
         "mu3": mu3,
         "mu4": mu4,
-        "skewness": erl_skewness(params),
-        "kurtosis_excess": erl_kurtosis(params),
-        "cv": erl_cv(params),
+        "skewness": skewness,
+        "kurtosis_excess": kurtosis,
+        "cv": cv,
     }
 
 

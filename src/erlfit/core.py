@@ -225,24 +225,43 @@ def erl_raw_moment(r: int, p: ErlParams) -> float:
     return fine
 
 
-def erl_central_moments(p: ErlParams) -> tuple[float, float, float, float]:
-    """(mean, mu2, mu3, mu4) from the first four raw moments."""
-    m1 = erl_raw_moment(1, p)
-    m2 = erl_raw_moment(2, p)
-    m3 = erl_raw_moment(3, p)
-    m4 = erl_raw_moment(4, p)
+def central_from_raw(raw) -> tuple[float, float, float, float]:
+    """(mean, mu2, mu3, mu4) from the raw moments (m1, m2, m3, m4)."""
+    m1, m2, m3, m4 = raw
     mu2 = m2 - m1**2
     mu3 = m3 - 3.0 * m1 * m2 + 2.0 * m1**3
     mu4 = m4 - 4.0 * m1 * m3 + 6.0 * m1**2 * m2 - 3.0 * m1**4
     return (m1, mu2, mu3, mu4)
 
 
+def erl_central_moments(p: ErlParams) -> tuple[float, float, float, float]:
+    """(mean, mu2, mu3, mu4) from the first four raw moments."""
+    return central_from_raw([erl_raw_moment(r, p) for r in (1, 2, 3, 4)])
+
+
+def shape_summaries(central) -> tuple[float, float, float]:
+    """(skewness, excess kurtosis, cv) from (mean, mu2, mu3, mu4).
+
+    Skewness mu3 / mu2^(3/2) and excess kurtosis mu4 / mu2^2 - 3 are
+    NaN if the variance degenerates to 0; the coefficient of variation
+    sqrt(mu2) / mean is NaN when the variance is negative or the mean 0.
+    """
+    mean, mu2, mu3, mu4 = central
+    if mu2 <= 0.0:
+        skewness = kurtosis = math.nan
+    else:
+        skewness = mu3 / mu2**1.5
+        kurtosis = mu4 / mu2**2 - 3.0
+    if mu2 < 0.0 or abs(mean) <= 1e-12 * max(1.0, math.sqrt(max(mu2, 0.0))):
+        cv = math.nan
+    else:
+        cv = math.sqrt(mu2) / mean
+    return (skewness, kurtosis, cv)
+
+
 def erl_skewness(p: ErlParams) -> float:
     """mu3 / mu2^(3/2); NaN if the variance degenerates to 0."""
-    _, mu2, mu3, _ = erl_central_moments(p)
-    if mu2 <= 0.0:
-        return math.nan
-    return mu3 / mu2**1.5
+    return shape_summaries(erl_central_moments(p))[0]
 
 
 def erl_kurtosis(p: ErlParams) -> float:
@@ -251,20 +270,12 @@ def erl_kurtosis(p: ErlParams) -> float:
     Note the convention split: this is excess, while the empirical
     sample_kurtosis in the gof module is raw (m4 / m2^2).
     """
-    _, mu2, _, mu4 = erl_central_moments(p)
-    if mu2 <= 0.0:
-        return math.nan
-    return mu4 / mu2**2 - 3.0
+    return shape_summaries(erl_central_moments(p))[1]
 
 
 def erl_cv(p: ErlParams) -> float:
     """Coefficient of variation sqrt(mu2) / mean; NaN when the mean is 0."""
-    mean, mu2, _, _ = erl_central_moments(p)
-    if mu2 < 0.0:
-        return math.nan
-    if abs(mean) <= 1e-12 * max(1.0, math.sqrt(max(mu2, 0.0))):
-        return math.nan
-    return math.sqrt(mu2) / mean
+    return shape_summaries(erl_central_moments(p))[2]
 
 
 def normalization_check(p: ErlParams) -> float:

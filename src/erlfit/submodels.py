@@ -104,8 +104,3 @@ def get_model(name: str) -> ModelSpec:
             return spec
     known = ", ".join(MODELS)
     raise ValueError(f"unknown model {name!r}; known models: {known}")
-
-
-def constraints(spec: ModelSpec) -> dict[str, float]:
-    """The fixed-parameter assignment of a spec, as a plain dict."""
-    return spec.fixed_map

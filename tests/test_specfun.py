@@ -7,6 +7,7 @@ decimal digits (frozen below as constants).
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sps
@@ -98,7 +99,6 @@ class TestDigamma:
         assert np.all(err <= 1e-10 + 4e-16 * np.abs(ref))
 
     def test_sweep_against_mpmath(self):
-        mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
         rng = np.random.default_rng(212)
         xs = np.exp(rng.uniform(np.log(1e-6), np.log(1e6), size=300))
@@ -144,7 +144,6 @@ class TestBeta:
         assert float(np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref)))) <= 5e-11
 
     def test_log_beta_sweep_against_mpmath(self):
-        mp = pytest.importorskip("mpmath")
         mp.mp.dps = 60
         rng = np.random.default_rng(313)
         for _ in range(200):
@@ -214,6 +213,13 @@ class TestRegIncBeta:
             b = float(np.exp(rng.uniform(np.log(0.1), np.log(50.0))))
             vals = reg_inc_beta(grid, a, b)
             assert np.all(np.diff(vals) >= -1e-14)
+
+    def test_huge_b_against_mpmath(self):
+        # reference from mpmath at dps=50; x ~ 1e-11 sits on the branch
+        # where a continued fraction reflects, and forming 1 - x there
+        # loses the digits of x
+        got = reg_inc_beta(2e-11, 2.756, 3.5e11)
+        assert got == pytest.approx(0.9780392418218935, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("x", [-0.1, 1.1])
     def test_domain_x(self, x):

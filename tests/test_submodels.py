@@ -10,7 +10,6 @@ from erlfit.submodels import (
     MODELS,
     PARAM_LABELS,
     ModelSpec,
-    constraints,
     get_model,
 )
 
@@ -32,7 +31,7 @@ class TestRegistry:
 
     @pytest.mark.parametrize("name, fixed", sorted(EXPECTED_CONSTRAINTS.items()))
     def test_constraints(self, name, fixed):
-        assert constraints(MODELS[name]) == fixed
+        assert MODELS[name].fixed_map == fixed
 
     @pytest.mark.parametrize(
         "name, k",
