@@ -7,9 +7,11 @@ is
     K(x) = 1 - exp(-(beta / 2) * v**(2 * lam))
 
 so T = (beta / 2) * v**(2*lam) is a unit exponential variate and every
-closed form below follows from that transform.  At theta = 1, lam = 0.5,
-beta = 2 the law collapses to a unit exponential shifted to start at -1,
-which the tests lean on heavily.
+closed form below follows from that transform.  _transform, _exponent
+and _log_k_plus_t are the only code in the package that forms v and T;
+the family's functions and the likelihood call them on raw floats.  At
+theta = 1, lam = 0.5, beta = 2 the law collapses to a unit exponential
+shifted to start at -1, which the tests lean on heavily.
 """
 
 from __future__ import annotations
@@ -37,50 +39,51 @@ class BaselineParams:
                 raise ValueError(f"BaselineParams.{name} must be a finite positive number")
 
 
-def _rel_offset(x, p: BaselineParams):
-    """v = (theta + x) / theta, clipped to 0 outside the support."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.maximum((p.theta + x) / p.theta, 0.0)
+def _transform(x, theta, lam, beta):
+    """(v, T) at x: v = (theta + x) / theta, clipped to 0 outside the
+    support, and T = _exponent(v, lam, beta), which is 0 there."""
+    # fmax, unlike maximum, also sends NaN x to v = 0, off the support
+    v = np.fmax((theta + np.asarray(x, dtype=np.float64)) / theta, 0.0)
+    return v, _exponent(v, lam, beta)
 
 
-def _exponent(v, p: BaselineParams):
+def _exponent(v, lam, beta):
     """T = (beta / 2) * v**(2 lam); the unit-exponential transform."""
     with np.errstate(divide="ignore", over="ignore"):
-        return 0.5 * p.beta * np.power(v, 2.0 * p.lam)
+        return 0.5 * beta * np.power(v, 2.0 * lam)
+
+
+def _log_k_plus_t(v, theta, lam, beta):
+    """ln k + T at v > 0: the log density without its -T term."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return math.log(beta * lam / theta) + (2.0 * lam - 1.0) * np.log(v)
 
 
 def baseline_cdf(x, p: BaselineParams):
     """K(x); 0 at and below -theta."""
     scalar = np.ndim(x) == 0
-    v = _rel_offset(x, p)
-    t = _exponent(v, p)
-    out = np.where(v > 0.0, -np.expm1(-t), 0.0)
+    _v, t = _transform(x, p.theta, p.lam, p.beta)
+    out = -np.expm1(-t)
     return float(out[()]) if scalar else out
 
 
 def baseline_pdf(x, p: BaselineParams):
     """Density k(x) = (beta lam / theta) v**(2 lam - 1) exp(-T); 0 outside."""
     scalar = np.ndim(x) == 0
-    v = _rel_offset(x, p)
-    inside = v > 0.0
-    out = np.where(inside, np.exp(_log_pdf_v(np.where(inside, v, 1.0), p)), 0.0)
+    v, t = _transform(x, p.theta, p.lam, p.beta)
+    with np.errstate(invalid="ignore"):
+        out = np.where(v > 0.0, np.exp(_log_k_plus_t(v, p.theta, p.lam, p.beta) - t), 0.0)
     return float(out[()]) if scalar else out
 
 
-def _log_pdf_v(v, p: BaselineParams):
-    """ln k at v = (theta + x)/theta > 0; -inf where the density is 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (
-            math.log(p.beta * p.lam / p.theta)
-            + (2.0 * p.lam - 1.0) * np.log(v)
-            - _exponent(v, p)
-        )
+def _v_at(t, lam, beta):
+    """The inverse of _exponent: v at which T takes the value t."""
+    return np.power((2.0 / beta) * t, 0.5 / lam)
 
 
 def _quantile_v(prob, p: BaselineParams):
     """v such that K(theta (v - 1)) = prob, for prob in [0, 1)."""
-    prob = np.asarray(prob, dtype=np.float64)
-    return np.power(-(2.0 / p.beta) * np.log1p(-prob), 0.5 / p.lam)
+    return _v_at(-np.log1p(-np.asarray(prob, dtype=np.float64)), p.lam, p.beta)
 
 
 def baseline_quantile(prob, p: BaselineParams):

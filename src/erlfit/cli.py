@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -91,20 +90,6 @@ REPORT_SCHEMA = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one CLI invocation needs, parsed and validated."""
-
-    command: str
-    input_path: Optional[str] = None
-    models: tuple[str, ...] = ()
-    params: Optional[ErlParams] = None
-    seed: int = 0
-    n: int = 1000
-    output_path: Optional[str] = None
-    format: str = "json"
-
-
 def ingest(path: str) -> Dataset:
     """Read one numeric value per line; a single leading non-numeric
     line is treated as a CSV header and skipped."""
@@ -115,7 +100,7 @@ def ingest(path: str) -> Dataset:
         raise InputError(f"cannot read input file {path!r}: {exc}") from exc
     values: list[float] = []
     problems: list[str] = []
-    seen_data = False
+    header = next((i for i, line in enumerate(raw_lines, start=1) if line.strip()), None)
     for lineno, line in enumerate(raw_lines, start=1):
         text = line.strip()
         if not text:
@@ -129,27 +114,19 @@ def ingest(path: str) -> Dataset:
         try:
             value = float(text)
         except ValueError:
-            if not seen_data and lineno == _first_content_line(raw_lines):
+            if lineno == header:
                 continue  # header
             problems.append(f"line {lineno}: {text!r} is not numeric")
             continue
         if not math.isfinite(value):
             problems.append(f"line {lineno}: non-finite value {text!r}")
             continue
-        seen_data = True
         values.append(value)
     if problems:
         raise InputError("; ".join(problems))
     if not values:
         raise InputError(f"no numeric data found in {path!r}")
     return Dataset(np.asarray(values))
-
-
-def _first_content_line(raw_lines: Sequence[str]) -> int:
-    for lineno, line in enumerate(raw_lines, start=1):
-        if line.strip():
-            return lineno
-    return -1
 
 
 def _data_summary(data: Dataset) -> dict:

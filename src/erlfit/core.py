@@ -6,9 +6,13 @@ K and k the baseline cdf/pdf and B(a, b) the beta function,
     g(x) = K(x)**(a-1) * (1 - K(x))**(b-1) * k(x) / B(a, b)
     G(x) = I_{K(x)}(a, b)
 
-on the support x > -theta.  Densities are assembled in log space; the
-survival function goes through the swapped-argument incomplete beta
-I_{1-K}(b, a) so the right tail never suffers 1 - cdf cancellation.
+on the support x > -theta.  Every function takes v = (theta + x)/theta
+and T = (beta/2) v^(2 lam) from the baseline module, which alone forms
+them.  Densities are assembled in log space; the survival function goes
+through the swapped-argument incomplete beta I_{1-K}(b, a) so the right
+tail never suffers 1 - cdf cancellation.  The quantile inverts I_K(a, b)
+for K below I_{1/2}(a, b) and the complementary I_{1-K}(b, a) above it,
+so T = -ln(1 - K) stays finite after K itself would round to 1.
 
 Raw moments are fixed-order Gauss-Legendre quadrature of the quantile
 representation
@@ -30,13 +34,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from .baseline import (
     BaselineParams,
-    _log_pdf_v,
+    _exponent,
+    _log_k_plus_t,
     _quantile_v,
-    baseline_quantile,
+    _transform,
+    _v_at,
 )
 from .errors import NumericalError
 from .specfun import inv_reg_inc_beta, log_beta, reg_inc_beta
@@ -69,32 +75,20 @@ class ErlParams:
         return (self.a, self.b, self.base.theta, self.base.lam, self.base.beta)
 
 
-def _log_density_v(v, p: ErlParams):
-    """ln g at v = (theta + x)/theta > 0, grouped so the tail exponent
-    -b*T forms before any inf products can appear."""
-    t = 0.5 * p.base.beta * np.power(v, 2.0 * p.base.lam)
+def _log_density_v(v, t, a, b, theta, lam, beta):
+    """ln g at v = (theta + x)/theta > 0 and its T, grouped so the tail
+    exponent -b*T forms before any inf products can appear."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_k_free = (
-            math.log(p.base.beta * p.base.lam / p.base.theta)
-            + (2.0 * p.base.lam - 1.0) * np.log(v)
-        )
         log_big_k = np.log(-np.expm1(-t))
-    return (
-        (p.a - 1.0) * log_big_k
-        + log_k_free
-        - p.b * t
-        - log_beta(p.a, p.b)
-    )
+        return (a - 1.0) * log_big_k + _log_k_plus_t(v, theta, lam, beta) - b * t - log_beta(a, b)
 
 
 def erl_pdf(x, p: ErlParams):
     """Density g(x); 0 at and outside the support boundary."""
     scalar = np.ndim(x) == 0
-    x = np.asarray(x, dtype=np.float64)
-    v = (p.base.theta + x) / p.base.theta
-    inside = v > 0.0
+    v, t = _transform(x, p.base.theta, p.base.lam, p.base.beta)
     with np.errstate(over="ignore"):
-        out = np.where(inside, np.exp(_log_density_v(np.where(inside, v, 1.0), p)), 0.0)
+        out = np.where(v > 0.0, np.exp(_log_density_v(v, t, *p.values())), 0.0)
     return float(out[()]) if scalar else out
 
 
@@ -107,11 +101,9 @@ def erl_cdf(x, p: ErlParams):
     corner at the top of the beta map.
     """
     scalar = np.ndim(x) == 0
-    x = np.asarray(x, dtype=np.float64)
-    v = np.maximum((p.base.theta + x) / p.base.theta, 0.0)
-    t = 0.5 * p.base.beta * np.power(v, 2.0 * p.base.lam)
-    big_k = np.where(v > 0.0, -np.expm1(-t), 0.0)
-    comp_k = np.where(v > 0.0, np.exp(-t), 1.0)
+    _v, t = _transform(x, p.base.theta, p.base.lam, p.base.beta)
+    big_k = -np.expm1(-t)
+    comp_k = np.exp(-t)
     upper = big_k > 0.5
     direct = reg_inc_beta(np.where(upper, 0.0, big_k), p.a, p.b)
     flipped = 1.0 - np.asarray(reg_inc_beta(np.where(upper, comp_k, 1.0), p.b, p.a))
@@ -122,11 +114,8 @@ def erl_cdf(x, p: ErlParams):
 def erl_survival(x, p: ErlParams):
     """1 - G(x), computed as I_{1-K(x)}(b, a) to keep the tail exact."""
     scalar = np.ndim(x) == 0
-    x = np.asarray(x, dtype=np.float64)
-    v = np.maximum((p.base.theta + x) / p.base.theta, 0.0)
-    t = 0.5 * p.base.beta * np.power(v, 2.0 * p.base.lam)
-    comp_k = np.where(v > 0.0, np.exp(-t), 1.0)
-    out = np.asarray(reg_inc_beta(comp_k, p.b, p.a))
+    _v, t = _transform(x, p.base.theta, p.base.lam, p.base.beta)
+    out = np.asarray(reg_inc_beta(np.exp(-t), p.b, p.a))
     return float(out[()]) if scalar else out
 
 
@@ -151,13 +140,27 @@ def erl_reversed_hazard(x, p: ErlParams):
 
 
 def erl_quantile(prob, p: ErlParams):
-    """Inverse cdf: baseline quantile of the inverse incomplete beta."""
+    """Inverse cdf: the baseline quantile at K = I^{-1}_prob(a, b).
+
+    Above I_{1/2}(a, b) the complementary inverse gives 1 - K, and
+    T = -ln(1 - K) from it: K itself rounds to 1 there once b is small,
+    which would send finite quantiles to +inf.
+    """
     scalar = np.ndim(prob) == 0
     pa = np.asarray(prob, dtype=np.float64)
     if pa.size and (np.any(pa < 0.0) or np.any(pa > 1.0) or not np.all(np.isfinite(pa))):
         raise ValueError("erl_quantile requires prob in [0, 1]")
-    inner = np.asarray(inv_reg_inc_beta(pa, p.a, p.b))
-    out = np.asarray(baseline_quantile(inner, p.base))
+    upper = pa > reg_inc_beta(0.5, p.a, p.b)
+    t = np.empty_like(pa)
+    with np.errstate(divide="ignore"):
+        t[~upper] = -np.log1p(-np.asarray(inv_reg_inc_beta(pa[~upper], p.a, p.b)))
+        t[upper] = -np.log(special.betainccinv(p.b, p.a, pa[upper]))
+        # betainccinv stops at the smallest normal double (T = 708.4) once
+        # 1 - K underflows; from T = 700 on, I_{1-K}(b, a) equals
+        # (1-K)^b / (b B(a, b)) in doubles, which solves for T directly
+        deep = t > 700.0
+        t[deep] = -(np.log1p(-pa[deep]) + math.log(p.b) + log_beta(p.a, p.b)) / p.b
+    out = p.base.theta * _v_at(t, p.base.lam, p.base.beta) - p.base.theta
     return float(out[()]) if scalar else out
 
 
@@ -165,9 +168,7 @@ def erl_sample(n: int, p: ErlParams, seed) -> np.ndarray:
     """n draws by the double inverse transform, deterministic per seed."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError("sample size n must be a positive integer")
-    rng = np.random.default_rng(seed)
-    u = rng.random(int(n))
-    return baseline_quantile(np.asarray(inv_reg_inc_beta(u, p.a, p.b)), p.base)
+    return erl_quantile(np.random.default_rng(seed).random(int(n)), p)
 
 
 @lru_cache(maxsize=8)
@@ -188,7 +189,7 @@ def _moment_quad(r: int, p: ErlParams, n_nodes: int, v_max: float) -> float:
     nodes, weights = _leggauss(n_nodes)
     v = 0.5 * v_max * (nodes + 1.0)
     w = 0.5 * v_max * weights
-    t = 0.5 * p.base.beta * np.power(v, 2.0 * p.base.lam)
+    t = _exponent(v, p.base.lam, p.base.beta)
     with np.errstate(divide="ignore", over="ignore"):
         log_weight = (
             (p.a - 1.0) * np.log(-np.expm1(-t))
@@ -297,8 +298,9 @@ def normalization_check(p: ErlParams) -> float:
             # 0/0 at the support ends; the continuous extension is 1/B(a,b)
             return math.exp(-lnb)
         v = float(_quantile_v(u, p.base))
-        log_g = float(_log_density_v(v, p))
-        log_k = float(_log_pdf_v(v, p.base))
+        t = float(_exponent(v, p.base.lam, p.base.beta))
+        log_g = float(_log_density_v(v, t, *p.values()))
+        log_k = float(_log_k_plus_t(v, p.base.theta, p.base.lam, p.base.beta)) - t
         return math.exp(
             log_g - log_k - (a - 1.0) * math.log(u) - (b - 1.0) * math.log1p(-u)
         )

@@ -1,10 +1,13 @@
 """Maximum-likelihood estimation for the family and its sub-models.
 
 The negative log-likelihood is assembled from the same log-density core
-the pdf uses; points at or outside the support boundary make it +inf,
-which is how the simplex search learns about the theta constraint
-theta > -min(x).  Free parameters are searched in log space (theta as
-ln(theta - shift) when the data dips below zero), multi-started from a
+the pdf uses, as one kernel over raw floats (a, b, theta, lam, beta);
+points at or outside the support boundary make it +inf, which is how
+the simplex search learns about the theta constraint theta > -min(x).
+Free parameters are searched in log space (theta as ln(theta - shift)
+when the data dips below zero).  The objective is built once per fit:
+each evaluation fills a list of five floats and calls the kernel, with
+no parameter objects in between.  The search is multi-started from a
 span heuristic plus seeded log-uniform draws, with a single polish
 restart of the best run.  Standard errors come from a centered
 finite-difference Hessian in the original parameterization; parameters
@@ -21,9 +24,10 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import optimize
 
+from .baseline import _transform
 from .core import ErlParams, _log_density_v
 from .specfun import digamma
-from .submodels import ModelSpec
+from .submodels import PARAM_NAMES, ModelSpec
 
 _BOUND_EPS = 1e-9
 # search box half-width in log-parameter space; e^30 ~ 1e13 comfortably
@@ -85,14 +89,17 @@ class FitResult:
 
 def nll(params: ErlParams, data: Dataset) -> float:
     """Negative log-likelihood; +inf if any point is off the support."""
-    theta = params.base.theta
-    x = data.values
+    return _nll(params.values(), data.values)
+
+
+def _nll(values, x: np.ndarray) -> float:
+    """nll at values = (a, b, theta, lam, beta) for data x sorted ascending."""
+    a, b, theta, lam, beta = values
     if x[0] <= -theta:
         return math.inf
-    v = (theta + x) / theta
+    v, t = _transform(x, theta, lam, beta)
     with np.errstate(over="ignore"):
-        log_dens = _log_density_v(v, params)
-    total = float(np.sum(log_dens))
+        total = float(np.sum(_log_density_v(v, t, a, b, theta, lam, beta)))
     if not math.isfinite(total):
         return math.inf
     return -total
@@ -104,12 +111,10 @@ def score_ab(params: ErlParams, data: Dataset) -> tuple[float, float]:
     d l / d a = n [psi(a+b) - psi(a)] + sum ln K(x_i)
     d l / d b = n [psi(a+b) - psi(b)] + sum ln(1 - K(x_i))
     """
-    theta = params.base.theta
-    x = data.values
-    if x[0] <= -theta:
+    _a, _b, theta, lam, beta = params.values()
+    if data.values[0] <= -theta:
         raise ValueError("score_ab requires every point inside the support")
-    v = (theta + x) / theta
-    t = 0.5 * params.base.beta * np.power(v, 2.0 * params.base.lam)
+    _v, t = _transform(data.values, theta, lam, beta)
     log_big_k = np.log(-np.expm1(-t))
     log_comp_k = -t
     n = data.n
@@ -125,26 +130,6 @@ def _theta_shift(data: Dataset) -> float:
     if lo >= 0.0:
         return 0.0
     return -lo * (1.0 + _BOUND_EPS) + _BOUND_EPS
-
-
-def _to_params(spec: ModelSpec, z: np.ndarray, shift: float) -> ErlParams:
-    values = []
-    for name, zi in zip(spec.free_names, z):
-        if name == "theta":
-            values.append(shift + math.exp(zi))
-        else:
-            values.append(math.exp(zi))
-    return spec.embed(values)
-
-
-def _to_z(spec: ModelSpec, params: ErlParams, shift: float) -> Optional[np.ndarray]:
-    z = []
-    for name, value in zip(spec.free_names, spec.extract(params)):
-        offset = value - shift if name == "theta" else value
-        if offset <= 0.0:
-            return None
-        z.append(math.log(offset))
-    return np.asarray(z, dtype=np.float64)
 
 
 def fit_mle(
@@ -163,37 +148,44 @@ def fit_mle(
     k = spec.free_count
     if data.n <= k:
         raise ValueError(f"{spec.name}: need at least {k + 1} observations, got {data.n}")
-    shift = _theta_shift(data)
     span = float(data.values[-1] - data.values[0])
     if span <= 0.0:
         span = max(1.0, abs(float(data.values[0])))
+    # free parameter i sits at values[slot_i] = offset_i + exp(z_i); the
+    # offset is the theta shift for theta and 0 for the other four
+    shift = _theta_shift(data)
+    free = [
+        (PARAM_NAMES.index(name), shift if name == "theta" else 0.0)
+        for name in spec.free_names
+    ]
+    fixed = spec.fixed_map
+    template = [float(fixed.get(name, 0.0)) for name in PARAM_NAMES]
+    x = data.values
+
+    def values_at(z: np.ndarray) -> list[float]:
+        values = template.copy()
+        for (slot, offset), zi in zip(free, z.tolist()):
+            values[slot] = offset + math.exp(zi)
+        return values
 
     def objective(z: np.ndarray) -> float:
         # trust box: beyond e^30 the likelihood terms cancel at scales
-        # where double precision returns noise, not likelihood
-        if np.max(np.abs(z)) > _Z_BOUND:
+        # where double precision returns noise, not likelihood; NaN fails too
+        if not np.max(np.abs(z)) <= _Z_BOUND:
             return math.inf
-        try:
-            params = _to_params(spec, z, shift)
-        except (OverflowError, ValueError):
-            return math.inf
-        return nll(params, data)
+        return _nll(values_at(z), x)
 
     starts: list[np.ndarray] = []
-    heuristic = []
-    for name in spec.free_names:
-        heuristic.append(math.log(span) if name == "theta" else 0.0)
+    heuristic = [math.log(span) if name == "theta" else 0.0 for name in spec.free_names]
     starts.append(np.asarray(heuristic, dtype=np.float64))
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.starts - 1):
         starts.append(rng.uniform(math.log(1e-2), math.log(1e2), size=k))
-    if extra_starts:
-        for params in extra_starts:
-            if not spec.admits(params):
-                continue
-            z = _to_z(spec, params, shift)
-            if z is not None:
-                starts.append(z)
+    for params in extra_starts or ():
+        full = params.values()
+        offsets = [full[slot] - offset for slot, offset in free]
+        if spec.admits(params) and all(o > 0.0 for o in offsets):
+            starts.append(np.asarray([math.log(o) for o in offsets], dtype=np.float64))
 
     best_z: Optional[np.ndarray] = None
     best_val = math.inf
@@ -216,10 +208,9 @@ def fit_mle(
     if math.isfinite(res.fun) and res.fun < best_val:
         best_val = float(res.fun)
         best_z = np.asarray(res.x)
-    params = _to_params(spec, best_z, shift)
     return FitResult(
         spec=spec,
-        params=params,
+        params=ErlParams.from_values(*values_at(best_z)),
         nll=best_val,
         n=data.n,
         k=k,

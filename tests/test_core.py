@@ -47,6 +47,10 @@ MIXED_SETS = [
     ErlParams(1.2, 1.2, BaselineParams(1.5, 2.0, 1.0)),
 ]
 
+# b = 0.01: I^{-1}_p(a, b) rounds to 1 for most p, so the quantile has
+# to come from the complementary inverse 1 - K
+SMALL_B_POINT = ErlParams(20.0, 0.01, BaselineParams(0.02, 0.25, 4.0))
+
 # sets where the fixed-order quadrature accepts; the lam=0.8 member of
 # MIXED_SETS makes it refuse, which test_untrustworthy_quadrature_raises
 # covers on its own
@@ -188,6 +192,20 @@ class TestQuantile:
         probs = np.linspace(0.001, 0.999, 200)
         assert np.all(np.diff(erl_quantile(probs, p)) > 0)
 
+    @pytest.mark.parametrize(
+        "prob, x_ref",
+        [
+            (0.37, 12.352007856415816245),
+            # 1 - K = e^-1385 lies below the smallest double
+            (0.999999, 9592.3635477204976254),
+        ],
+    )
+    def test_small_b_against_mpmath(self, prob, x_ref):
+        # mpmath at 60 digits, at the double nearest prob: solve
+        # I_y(b, a) = 1 - prob for ln y with y = 1 - K, then
+        # x = theta * ((2/beta) (-ln y))**(1/(2 lam)) - theta
+        assert erl_quantile(prob, SMALL_B_POINT) == pytest.approx(x_ref, rel=1e-12)
+
 
 class TestSample:
     def test_deterministic_per_seed(self):
@@ -218,6 +236,9 @@ class TestSample:
     def test_support(self, p):
         x = erl_sample(2_000, p, seed=9)
         assert np.all(x > -p.base.theta)
+
+    def test_small_b_draws_are_finite(self):
+        assert np.all(np.isfinite(erl_sample(1000, SMALL_B_POINT, seed=0)))
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):

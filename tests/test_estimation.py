@@ -21,11 +21,14 @@ from erlfit.estimation import (
     score_ab,
     standard_errors,
 )
-from erlfit.submodels import get_model
+from erlfit.submodels import MODELS, get_model
 
 EXP_BASE = BaselineParams(1.0, 0.5, 2.0)
 EXP_POINT = ErlParams(1.0, 1.0, EXP_BASE)
 RECOVERY_POINT = ErlParams(2.0, 1.5, BaselineParams(1.0, 1.0, 1.0))
+FREE_COUNTS = {
+    "ERLD": 5, "LRLD": 4, "ExpRLD": 4, "BLD": 4, "BRD": 4, "RLD": 3, "ExpLD": 3, "Rayleigh": 1,
+}
 
 
 class TestDataset:
@@ -160,14 +163,17 @@ class TestFit:
         ok = Dataset(np.array([0.1, 0.2, 0.3, 0.4]))
         assert fit_mle(get_model("RLD"), ok, FitConfig(starts=1, seed=0)).k == 3
 
-    def test_result_bookkeeping(self):
+    @pytest.mark.parametrize("name", MODELS)
+    def test_result_bookkeeping(self, name):
         data = Dataset(erl_sample(300, EXP_POINT, seed=8))
-        fit = fit_mle(get_model("ExpLD"), data, FitConfig(starts=2, seed=0))
+        fit = fit_mle(MODELS[name], data, FitConfig(starts=2, seed=0))
         assert fit.n == 300
-        assert fit.k == 3
-        assert fit.spec.name == "ExpLD"
+        assert fit.k == FREE_COUNTS[name]
+        assert fit.spec.name == name
         assert fit.se is None
         assert math.isfinite(fit.nll)
+        # the optimizer's raw-float objective and the public nll agree exactly
+        assert fit.nll == nll(fit.params, data)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
