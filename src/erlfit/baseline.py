@@ -39,6 +39,24 @@ class BaselineParams:
                 raise ValueError(f"BaselineParams.{name} must be a finite positive number")
 
 
+def _log_each(q):
+    """math.log of a float, or of each entry of an array.
+
+    A parameter point in a column of many gets the same libm log as a
+    lone float, so its likelihood does not depend on the batch it was
+    evaluated in (np.log may differ in the last bit).
+    """
+    if np.ndim(q) == 0:
+        return math.log(q)
+    return np.reshape(list(map(math.log, q.ravel().tolist())), q.shape)
+
+
+# exponents at which np.power with a float exponent takes a shortcut
+# (reciprocal, one, sqrt, copy, square) that can round differently from
+# the pow it applies to a column of exponents
+_POW_SHORTCUTS = (-1.0, 0.0, 0.5, 1.0, 2.0)
+
+
 def _transform(x, theta, lam, beta):
     """(v, T) at x: v = (theta + x) / theta, clipped to 0 outside the
     support, and T = _exponent(v, lam, beta), which is 0 there."""
@@ -50,13 +68,33 @@ def _transform(x, theta, lam, beta):
 def _exponent(v, lam, beta):
     """T = (beta / 2) * v**(2 lam); the unit-exponential transform."""
     with np.errstate(divide="ignore", over="ignore"):
-        return 0.5 * beta * np.power(v, 2.0 * lam)
+        return 0.5 * beta * _power(v, 2.0 * lam)
+
+
+def _power(v, e):
+    """v ** e as np.power gives it for a float e, also where e is an
+    (m, 1) column with one exponent per row of v.  A column of one
+    exponent (a fixed lam) is raised as that float in one call."""
+    if np.ndim(e) == 0:
+        return np.power(v, e)
+    col = e[:, 0].tolist()
+    if col.count(col[0]) == len(col):
+        return np.power(v, col[0])
+    out = np.power(v, e)
+    for i, ei in enumerate(col):
+        if ei in _POW_SHORTCUTS:
+            out[i] = np.power(v[i], ei)
+    return out
 
 
 def _log_k_plus_t(v, theta, lam, beta):
-    """ln k + T at v > 0: the log density without its -T term."""
+    """ln k + T at v > 0: the log density without its -T term.
+
+    The parameters are floats, or (m, 1) columns that give each row of
+    v its own parameter point.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
-        return math.log(beta * lam / theta) + (2.0 * lam - 1.0) * np.log(v)
+        return _log_each(beta * lam / theta) + (2.0 * lam - 1.0) * np.log(v)
 
 
 def baseline_cdf(x, p: BaselineParams):

@@ -12,7 +12,10 @@ them.  Densities are assembled in log space; the survival function goes
 through the swapped-argument incomplete beta I_{1-K}(b, a) so the right
 tail never suffers 1 - cdf cancellation.  The quantile inverts I_K(a, b)
 for K below I_{1/2}(a, b) and the complementary I_{1-K}(b, a) above it,
-so T = -ln(1 - K) stays finite after K itself would round to 1.
+so T = -ln(1 - K) stays finite after K itself would round to 1.  Where
+a double can no longer hold 1 - K (T > 700) or K (K < 1e-300), the
+survival and the quantile use the leading term of the incomplete beta,
+(1-K)^b / (b B(a, b)) or K^a / (a B(a, b)), in log space.
 
 Raw moments are fixed-order Gauss-Legendre quadrature of the quantile
 representation
@@ -45,7 +48,7 @@ from .baseline import (
     _v_at,
 )
 from .errors import NumericalError
-from .specfun import inv_reg_inc_beta, log_beta, reg_inc_beta
+from .specfun import _log_beta_each, inv_reg_inc_beta, log_beta, reg_inc_beta
 
 _MOMENT_NODES = 256
 _MOMENT_NODES_CHECK = 512
@@ -77,10 +80,16 @@ class ErlParams:
 
 def _log_density_v(v, t, a, b, theta, lam, beta):
     """ln g at v = (theta + x)/theta > 0 and its T, grouped so the tail
-    exponent -b*T forms before any inf products can appear."""
+    exponent -b*T forms before any inf products can appear.  The
+    parameters are floats or (m, 1) columns, one per row of v."""
     with np.errstate(divide="ignore", invalid="ignore"):
         log_big_k = np.log(-np.expm1(-t))
-        return (a - 1.0) * log_big_k + _log_k_plus_t(v, theta, lam, beta) - b * t - log_beta(a, b)
+        return (
+            (a - 1.0) * log_big_k
+            + _log_k_plus_t(v, theta, lam, beta)
+            - b * t
+            - _log_beta_each(a, b)
+        )
 
 
 def erl_pdf(x, p: ErlParams):
@@ -103,10 +112,9 @@ def erl_cdf(x, p: ErlParams):
     scalar = np.ndim(x) == 0
     _v, t = _transform(x, p.base.theta, p.base.lam, p.base.beta)
     big_k = -np.expm1(-t)
-    comp_k = np.exp(-t)
     upper = big_k > 0.5
     direct = reg_inc_beta(np.where(upper, 0.0, big_k), p.a, p.b)
-    flipped = 1.0 - np.asarray(reg_inc_beta(np.where(upper, comp_k, 1.0), p.b, p.a))
+    flipped = 1.0 - _survival_at(np.where(upper, t, 0.0), p)
     out = np.asarray(np.where(upper, flipped, direct))
     return float(out[()]) if scalar else out
 
@@ -115,8 +123,22 @@ def erl_survival(x, p: ErlParams):
     """1 - G(x), computed as I_{1-K(x)}(b, a) to keep the tail exact."""
     scalar = np.ndim(x) == 0
     _v, t = _transform(x, p.base.theta, p.base.lam, p.base.beta)
-    out = np.asarray(reg_inc_beta(np.exp(-t), p.b, p.a))
+    out = _survival_at(t, p)
     return float(out[()]) if scalar else out
+
+
+def _survival_at(t, p: ErlParams) -> np.ndarray:
+    """I_{1-K}(b, a) at T, where 1 - K = exp(-T).
+
+    exp(-T) underflows from T = 745 on while the survival can still be
+    large at small b; from T = 700 on it is the leading term
+    (1-K)^b / (b B(a, b)) = exp(-bT - ln b - ln B(a, b)) in doubles.
+    """
+    t = np.asarray(t)
+    deep = t > 700.0
+    out = np.asarray(reg_inc_beta(np.exp(-np.where(deep, 0.0, t)), p.b, p.a))
+    out[deep] = np.exp(-(p.b * t[deep] + math.log(p.b) + log_beta(p.a, p.b)))
+    return out
 
 
 def erl_hazard(x, p: ErlParams):
@@ -160,8 +182,17 @@ def erl_quantile(prob, p: ErlParams):
         # (1-K)^b / (b B(a, b)) in doubles, which solves for T directly
         deep = t > 700.0
         t[deep] = -(np.log1p(-pa[deep]) + math.log(p.b) + log_beta(p.a, p.b)) / p.b
-    out = p.base.theta * _v_at(t, p.base.lam, p.base.beta) - p.base.theta
-    return float(out[()]) if scalar else out
+        v = np.asarray(_v_at(t, p.base.lam, p.base.beta))
+        # betaincinv likewise stops at 2.2e-308 once K underflows; below
+        # 1e-300, I_K(a, b) = K^a / (a B(a, b)) and T = K in doubles, so
+        # v = (2 T / beta)^(1 / (2 lam)) comes from ln K without forming K
+        tiny = t < 1e-300
+        log_t = (np.log(pa[tiny]) + math.log(p.a) + log_beta(p.a, p.b)) / p.a
+    v[tiny] = np.exp((math.log(2.0 / p.base.beta) + log_t) / (2.0 * p.base.lam))
+    # x = theta v - theta in place: erl_sample holds n-sized arrays here
+    v *= p.base.theta
+    v -= p.base.theta
+    return float(v[()]) if scalar else v
 
 
 def erl_sample(n: int, p: ErlParams, seed) -> np.ndarray:

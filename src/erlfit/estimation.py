@@ -1,18 +1,25 @@
 """Maximum-likelihood estimation for the family and its sub-models.
 
 The negative log-likelihood is assembled from the same log-density core
-the pdf uses, as one kernel over raw floats (a, b, theta, lam, beta);
-points at or outside the support boundary make it +inf, which is how
-the simplex search learns about the theta constraint theta > -min(x).
-Free parameters are searched in log space (theta as ln(theta - shift)
-when the data dips below zero).  The objective is built once per fit:
-each evaluation fills a list of five floats and calls the kernel, with
-no parameter objects in between.  The search is multi-started from a
-span heuristic plus seeded log-uniform draws, with a single polish
-restart of the best run.  Standard errors come from a centered
-finite-difference Hessian in the original parameterization; parameters
-whose Hessian entries are unusable (boundary kinks, failed inversions)
-report None rather than a made-up number.
+the pdf uses, as one kernel over rows of raw floats (a, b, theta, lam,
+beta): _nll maps an (m, 5) array to m values, taking the rows in chunks
+of at most 2^14 doubles per (rows, n) temporary.  Points at or outside
+the support boundary make a row +inf, which is how the simplex search
+learns about the theta constraint theta > -min(x).  Free parameters are
+searched in log space (theta as ln(theta - shift) when the data dips
+below zero), and the objective is built once per fit.
+
+The search is multi-started from a span heuristic plus seeded
+log-uniform draws, with a single polish restart of the best run.  All
+starts run in lock-step in one in-house Nelder-Mead driver: the
+simplices are one (S, k+1, k) array, every step evaluates the trial
+points of all live starts in one kernel call, and a start leaves the
+arrays when it converges.  Each start takes exactly scipy's default
+Nelder-Mead steps, so a fit is the one a loop over
+scipy.optimize.minimize would give.  Standard errors come from a
+centered finite-difference Hessian in the original parameterization;
+parameters whose Hessian entries are unusable (boundary kinks, failed
+inversions) report None rather than a made-up number.
 """
 
 from __future__ import annotations
@@ -30,6 +37,22 @@ from .specfun import digamma
 from .submodels import PARAM_NAMES, ModelSpec
 
 _BOUND_EPS = 1e-9
+# the likelihood kernel takes its rows in chunks of at most this many
+# doubles per (rows, n) temporary, so a batch of trial points at large n
+# costs little memory over a single one
+_CHUNK_DOUBLES = 16384
+# scipy's default Nelder-Mead: reflection, expansion, contraction and
+# shrink coefficients, the relative and zero-coordinate steps of the
+# initial simplex, and the simplex-size tolerance fit_mle has always used
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_NONZDELT, _ZDELT = 0.05, 0.00025
+_XATOL = 1e-8
+# the second trial point c0 * xbar - c1 * worst of an expansion, an outside
+# and an inside contraction; x - (-c) y is exactly x + c y, so the inside
+# contraction (1 - psi) xbar + psi worst fits the same form
+_SECOND_POINT = np.array(
+    [[1 + _RHO * _CHI, _RHO * _CHI], [1 + _PSI * _RHO, _PSI * _RHO], [1 - _PSI, -_PSI]]
+)
 # search box half-width in log-parameter space; e^30 ~ 1e13 comfortably
 # covers any realistic estimate while keeping the arithmetic trustworthy
 _Z_BOUND = 30.0
@@ -89,20 +112,26 @@ class FitResult:
 
 def nll(params: ErlParams, data: Dataset) -> float:
     """Negative log-likelihood; +inf if any point is off the support."""
-    return _nll(params.values(), data.values)
+    return float(_nll(np.array([params.values()]), data.values)[0])
 
 
-def _nll(values, x: np.ndarray) -> float:
-    """nll at values = (a, b, theta, lam, beta) for data x sorted ascending."""
-    a, b, theta, lam, beta = values
-    if x[0] <= -theta:
-        return math.inf
-    v, t = _transform(x, theta, lam, beta)
-    with np.errstate(over="ignore"):
-        total = float(np.sum(_log_density_v(v, t, a, b, theta, lam, beta)))
-    if not math.isfinite(total):
-        return math.inf
-    return -total
+def _nll(values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """nll at each row (a, b, theta, lam, beta) of values, shape (m, 5),
+    for data x sorted ascending; +inf where a point is off the support
+    or the sum is not finite."""
+    out = np.empty(len(values))
+    step = max(1, _CHUNK_DOUBLES // x.size)
+    for lo in range(0, len(values), step):
+        rows = values[lo : lo + step]
+        # parameter columns, one per row of (v, T); a lone row runs on
+        # floats, where numpy's per-call overhead is lower
+        a, b, theta, lam, beta = rows[0].tolist() if len(rows) == 1 else rows.T[:, :, None]
+        v, t = _transform(x, theta, lam, beta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.sum(_log_density_v(v, t, a, b, theta, lam, beta), axis=-1)
+        inside = (x[0] > -np.ravel(theta)) & np.isfinite(total)
+        out[lo : lo + step] = np.where(inside, -total, math.inf)
+    return out
 
 
 def score_ab(params: ErlParams, data: Dataset) -> tuple[float, float]:
@@ -132,6 +161,47 @@ def _theta_shift(data: Dataset) -> float:
     return -lo * (1.0 + _BOUND_EPS) + _BOUND_EPS
 
 
+def _objective(spec: ModelSpec, data: Dataset):
+    """(free, values_at, objective) of spec's search over data.
+
+    Free parameter i sits at values[slot_i] = offset_i + exp(z_i), with
+    free = [(slot_i, offset_i)]; the offset is the theta shift for theta
+    and 0 for the other four.  values_at maps rows of z, shape (m, k),
+    to rows (a, b, theta, lam, beta), and objective maps them to nll.
+    """
+    shift = _theta_shift(data)
+    free = [
+        (PARAM_NAMES.index(name), shift if name == "theta" else 0.0)
+        for name in spec.free_names
+    ]
+    slots = [slot for slot, _offset in free]
+    offsets = np.array([offset for _slot, offset in free])
+    fixed = spec.fixed_map
+    template = np.array([float(fixed.get(name, 0.0)) for name in PARAM_NAMES])
+    x = data.values
+
+    def values_at(z: np.ndarray) -> np.ndarray:
+        values = np.empty((len(z), len(PARAM_NAMES)))
+        values[:] = template
+        # libm's exp per element, as a lone float gets: np.exp may differ
+        # in the last bit, and fits would then depend on the batch
+        values[:, slots] = offsets + np.reshape(list(map(math.exp, z.ravel().tolist())), z.shape)
+        return values
+
+    def objective(z: np.ndarray) -> np.ndarray:
+        # trust box: beyond e^30 the likelihood terms cancel at scales
+        # where double precision returns noise, not likelihood; NaN fails too
+        inside = np.abs(z).max(axis=1) <= _Z_BOUND
+        if inside.all():
+            return _nll(values_at(z), x)
+        out = np.full(len(z), math.inf)
+        if inside.any():
+            out[inside] = _nll(values_at(z[inside]), x)
+        return out
+
+    return free, values_at, objective
+
+
 def fit_mle(
     spec: ModelSpec,
     data: Dataset,
@@ -151,29 +221,7 @@ def fit_mle(
     span = float(data.values[-1] - data.values[0])
     if span <= 0.0:
         span = max(1.0, abs(float(data.values[0])))
-    # free parameter i sits at values[slot_i] = offset_i + exp(z_i); the
-    # offset is the theta shift for theta and 0 for the other four
-    shift = _theta_shift(data)
-    free = [
-        (PARAM_NAMES.index(name), shift if name == "theta" else 0.0)
-        for name in spec.free_names
-    ]
-    fixed = spec.fixed_map
-    template = [float(fixed.get(name, 0.0)) for name in PARAM_NAMES]
-    x = data.values
-
-    def values_at(z: np.ndarray) -> list[float]:
-        values = template.copy()
-        for (slot, offset), zi in zip(free, z.tolist()):
-            values[slot] = offset + math.exp(zi)
-        return values
-
-    def objective(z: np.ndarray) -> float:
-        # trust box: beyond e^30 the likelihood terms cancel at scales
-        # where double precision returns noise, not likelihood; NaN fails too
-        if not np.max(np.abs(z)) <= _Z_BOUND:
-            return math.inf
-        return _nll(values_at(z), x)
+    free, values_at, objective = _objective(spec, data)
 
     starts: list[np.ndarray] = []
     heuristic = [math.log(span) if name == "theta" else 0.0 for name in spec.free_names]
@@ -186,36 +234,117 @@ def fit_mle(
         offsets = [full[slot] - offset for slot, offset in free]
         if spec.admits(params) and all(o > 0.0 for o in offsets):
             starts.append(np.asarray([math.log(o) for o in offsets], dtype=np.float64))
+    z0 = np.array(starts)
+    z0 = z0[np.isfinite(objective(z0))]
 
     best_z: Optional[np.ndarray] = None
     best_val = math.inf
     converged = False
-    options = {"maxiter": cfg.max_iters, "fatol": cfg.tol, "xatol": 1e-8}
-    for z0 in starts:
-        if not math.isfinite(objective(z0)):
-            continue
-        res = optimize.minimize(objective, z0, method="Nelder-Mead", options=options)
+    for res in _nelder_mead(objective, z0, cfg.max_iters, cfg.tol):
         converged = converged or bool(res.success)
         if math.isfinite(res.fun) and res.fun < best_val:
             best_val = float(res.fun)
-            best_z = np.asarray(res.x)
+            best_z = res.x
     if best_z is None:
         raise ValueError(f"{spec.name}: no admissible starting point found")
     # one polish restart: a fresh simplex around the winner often shaves
     # the last little bit the first pass left on the table
-    res = optimize.minimize(objective, best_z, method="Nelder-Mead", options=options)
+    (res,) = _nelder_mead(objective, best_z[None, :], cfg.max_iters, cfg.tol)
     converged = converged or bool(res.success)
     if math.isfinite(res.fun) and res.fun < best_val:
         best_val = float(res.fun)
-        best_z = np.asarray(res.x)
+        best_z = res.x
     return FitResult(
         spec=spec,
-        params=ErlParams.from_values(*values_at(best_z)),
+        params=ErlParams.from_values(*values_at(best_z[None, :])[0].tolist()),
         nll=best_val,
         n=data.n,
         k=k,
         converged=converged,
     )
+
+
+def _nelder_mead(f, x0: np.ndarray, maxiter: int, fatol: float) -> list[optimize.OptimizeResult]:
+    """Nelder-Mead from every row of x0, shape (S, N), in lock-step.
+
+    f maps an (m, N) array of points to their (m,) values.  Every start
+    takes exactly the steps of scipy.optimize.minimize(method=
+    "Nelder-Mead") with options maxiter, fatol and xatol=1e-8, but each
+    step evaluates the reflections of all live starts in one call of f,
+    then the expansion or contraction points of the starts that need
+    one, then the shrunken vertices.  All live starts are on the same
+    iteration; a start leaves the arrays when it converges.  Returns one
+    OptimizeResult (x, fun, nit, success) per start, in order; success
+    means it converged before maxiter, as in scipy.
+    """
+    n_starts, dim = x0.shape
+    results: list = [None] * n_starts
+    sim = np.repeat(x0[:, None, :], dim + 1, axis=1)
+    for j in range(dim):
+        coord = sim[:, j + 1, j]
+        sim[:, j + 1, j] = np.where(coord != 0, (1 + _NONZDELT) * coord, _ZDELT)
+    fsim = f(sim.reshape(-1, dim)).reshape(n_starts, dim + 1)
+    rows = np.arange(n_starts)[:, None]
+    # scipy sorts the first simplex twice, and argsort is not stable
+    for _ in range(2):
+        order = np.argsort(fsim, axis=1)
+        sim, fsim = sim[rows, order], fsim[rows, order]
+    ids = np.arange(n_starts)
+    nit = 1
+
+    def finish(i: int, success: bool) -> None:
+        results[ids[i]] = optimize.OptimizeResult(
+            x=sim[i, 0].copy(), fun=np.min(fsim[i]), nit=nit, success=success
+        )
+
+    with np.errstate(invalid="ignore"):  # inf - inf while a simplex is all +inf
+        while nit < maxiter and ids.size:
+            # each simplex is sorted, so scipy's max |f0 - fj| is fN - f0
+            done = fsim[:, -1] - fsim[:, 0] <= fatol
+            if done.any():
+                spread = np.abs(sim[:, 1:] - sim[:, :1]).reshape(ids.size, -1).max(axis=1)
+                done &= spread <= _XATOL
+            if done.any():
+                for i in np.flatnonzero(done):
+                    finish(i, True)
+                live = ~done
+                sim, fsim, ids = sim[live], fsim[live], ids[live]
+                rows = rows[: ids.size]
+                if not ids.size:
+                    break
+            xbar = np.add.reduce(sim[:, :-1], 1) / dim
+            worst = sim[:, -1]
+            f_worst = fsim[:, -1]
+            xr = (1 + _RHO) * xbar - _RHO * worst
+            fxr = f(xr)
+            expand = fxr < fsim[:, 0]
+            second = expand | ~(fxr < fsim[:, -2])
+            outside = fxr < f_worst
+            coef = _SECOND_POINT[np.where(expand, 0, np.where(outside, 1, 2))]
+            x2 = coef[:, :1] * xbar - coef[:, 1:] * worst
+            if second.all():
+                f2 = f(x2)
+            else:
+                f2 = np.full(ids.size, math.inf)
+                if second.any():
+                    f2[second] = f(x2[second])
+            take2 = second & np.where(expand, f2 < fxr, np.where(outside, f2 <= fxr, f2 < f_worst))
+            shrink = second & ~(expand | take2)
+            shrinking = shrink.any()
+            if shrinking:
+                best = sim[shrink, :1]
+                shrunk = best + _SIGMA * (sim[shrink, 1:] - best)
+            sim[:, -1] = np.where(take2[:, None], x2, xr)
+            fsim[:, -1] = np.where(take2, f2, fxr)
+            if shrinking:
+                sim[shrink, 1:] = shrunk
+                fsim[shrink, 1:] = f(shrunk.reshape(-1, dim)).reshape(-1, dim)
+            nit += 1
+            order = np.argsort(fsim, axis=1)
+            sim, fsim = sim[rows, order], fsim[rows, order]
+    for i in range(ids.size):
+        finish(i, False)
+    return results
 
 
 def standard_errors(fit: FitResult, data: Dataset) -> FitResult:

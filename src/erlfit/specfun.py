@@ -85,7 +85,12 @@ def _log_beta(a: float, b: float) -> float:
     )
 
 
-_log_beta_map = np.vectorize(_log_beta, otypes=[np.float64])
+def _log_beta_each(a, b):
+    """_log_beta of two floats, or of each pair of entries of two arrays
+    of one shape."""
+    if np.ndim(a) == 0:
+        return _log_beta(float(a), float(b))
+    return np.reshape(list(map(_log_beta, a.ravel().tolist(), b.ravel().tolist())), a.shape)
 
 
 def log_beta(a, b):
@@ -97,7 +102,7 @@ def log_beta(a, b):
     (aa, ba), scalar = _promote(a, b)
     if aa.size and not (np.all(aa > 0.0) and np.all(ba > 0.0)):
         raise ValueError("log_beta requires a > 0 and b > 0")
-    return _maybe_scalar(_log_beta_map(aa, ba), scalar)
+    return _maybe_scalar(_log_beta_each(aa, ba), scalar)
 
 
 def beta_fn(a, b):

@@ -50,6 +50,12 @@ MIXED_SETS = [
 # b = 0.01: I^{-1}_p(a, b) rounds to 1 for most p, so the quantile has
 # to come from the complementary inverse 1 - K
 SMALL_B_POINT = ErlParams(20.0, 0.01, BaselineParams(0.02, 0.25, 4.0))
+# b = 0.001: the survival I_{exp(-T)}(b, a) is still large at T > 745,
+# where exp(-T) has underflowed to 0
+DEEP_TAIL_POINT = ErlParams(2.0, 0.001, BaselineParams(1.0, 1.0, 1.0))
+# a = 0.01, lam = 100: K = I^{-1}_p(a, b) lies far below the smallest
+# double at p = 1e-4, yet x is well inside the support
+SMALL_A_POINT = ErlParams(0.01, 5.0, BaselineParams(1.0, 100.0, 1.0))
 
 # sets where the fixed-order quadrature accepts; the lam=0.8 member of
 # MIXED_SETS makes it refuse, which test_untrustworthy_quadrature_raises
@@ -151,6 +157,15 @@ class TestSurvivalHazard:
         assert np.max(np.abs(erl_hazard(x, p) - pdf / surv)) <= 1e-10 * np.max(pdf / surv)
         assert np.max(np.abs(erl_reversed_hazard(x, p) - pdf / cdf)) <= 1e-10 * np.max(pdf / cdf)
 
+    @pytest.mark.parametrize(
+        "x, surv_ref",
+        [(40.0, 0.4319262168443099244), (60.0, 0.15575040832215798112)],
+    )
+    def test_deep_tail_small_b_against_mpmath(self, x, surv_ref):
+        # mpmath at 50 digits: I_y(b, a) at y = exp(-T), T = 840.5 and 1860.5
+        assert erl_survival(x, DEEP_TAIL_POINT) == pytest.approx(surv_ref, rel=1e-12)
+        assert erl_cdf(x, DEEP_TAIL_POINT) == pytest.approx(1.0 - surv_ref, rel=1e-12)
+
     def test_infinity_signals(self):
         assert erl_hazard(1e9, EXP_POINT) == math.inf
         assert erl_reversed_hazard(-1.0, EXP_POINT) == math.inf
@@ -205,6 +220,12 @@ class TestQuantile:
         # I_y(b, a) = 1 - prob for ln y with y = 1 - K, then
         # x = theta * ((2/beta) (-ln y))**(1/(2 lam)) - theta
         assert erl_quantile(prob, SMALL_B_POINT) == pytest.approx(x_ref, rel=1e-12)
+
+    def test_small_a_against_mpmath(self):
+        # mpmath at 50 digits: solve I_K(a, b) = 1e-4 for ln K (= -923.11),
+        # then T = -log1p(-K) and x = theta * (2 T / beta)**(1/(2 lam)) - theta
+        x_ref = -0.9900689167813681404
+        assert erl_quantile(1e-4, SMALL_A_POINT) == pytest.approx(x_ref, rel=1e-12)
 
 
 class TestSample:

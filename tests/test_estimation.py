@@ -9,13 +9,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from erlfit.baseline import BaselineParams
 from erlfit.core import ErlParams, erl_sample
+from erlfit.datasets import load_synthetic
 from erlfit.estimation import (
+    _CHUNK_DOUBLES,
     Dataset,
     FitConfig,
     FitResult,
+    _nelder_mead,
+    _nll,
+    _objective,
     fit_mle,
     nll,
     score_ab,
@@ -69,6 +75,73 @@ class TestNll:
     def test_support_violation_is_inf(self):
         assert nll(EXP_POINT, Dataset(np.array([-1.0]))) == math.inf
         assert nll(EXP_POINT, Dataset(np.array([-2.0, 1.0]))) == math.inf
+
+
+class TestRowsKernel:
+    @pytest.mark.parametrize("n", [37, 2000])
+    def test_rows_match_one_row_calls(self, n):
+        x = Dataset(erl_sample(n, RECOVERY_POINT, seed=n)).values
+        # two full chunks and one row more: 17 rows at n = 2000
+        m = 2 * max(1, _CHUNK_DOUBLES // n) + 1
+        values = np.exp(np.random.default_rng(n).uniform(-2.0, 2.0, size=(m, 5)))
+        values[:, 2] += 1.0  # theta > 1 keeps every point of x inside the support
+        values[0, 2] = -x[0] / 2.0  # theta inside the data: off the support
+        values[1] = math.nan
+        values[2:5, 3] = (1.0, 0.25, 0.5)  # exponents np.power special-cases
+        batch = _nll(values, x)
+        assert np.array_equal(batch, [_nll(row[None, :], x)[0] for row in values])
+        assert batch[0] == math.inf and batch[1] == math.inf
+        assert np.all(np.isfinite(batch[2:5]))
+
+    def test_objective_box_and_nan(self):
+        data = Dataset(erl_sample(300, RECOVERY_POINT, seed=3))
+        _free, _values_at, objective = _objective(get_model("ERLD"), data)
+        z = np.random.default_rng(4).uniform(-1.0, 1.0, size=(6, 5))
+        z[1, 3] = 30.5  # outside the search box
+        z[2, 0] = math.nan
+        z[3] = 0.0  # lam = 1 exactly
+        out = objective(z)
+        assert np.array_equal(out, [objective(row[None, :])[0] for row in z])
+        assert out[1] == math.inf and out[2] == math.inf
+        assert np.isfinite(out[3])
+
+    def test_public_nll_is_one_row(self):
+        data = Dataset(erl_sample(50, RECOVERY_POINT, seed=5))
+        row = np.array([RECOVERY_POINT.values()])
+        assert nll(RECOVERY_POINT, data) == _nll(row, data.values)[0]
+
+
+class TestNelderMead:
+    @pytest.mark.parametrize(
+        "name, max_iters, outside",
+        [("ERLD", 2000, False), ("BRD", 2000, False), ("ERLD", 60, True), ("BRD", 60, True)],
+    )
+    def test_each_start_matches_scipy(self, name, max_iters, outside):
+        spec = get_model(name)
+        _free, _values_at, objective = _objective(spec, load_synthetic())
+        z0 = np.random.default_rng(0).uniform(math.log(1e-2), math.log(1e2), (3, spec.free_count))
+        z0[0] = 0.0
+        if outside:
+            z0[1, 0] = 31.0  # a start outside the search box
+        options = {"maxiter": max_iters, "fatol": 1e-8, "xatol": 1e-8}
+        runs = _nelder_mead(objective, z0, max_iters, 1e-8)
+        assert len(runs) == len(z0)
+        for start, run in zip(z0, runs):
+            with np.errstate(invalid="ignore"):
+                ref = optimize.minimize(
+                    lambda z: objective(z[None, :])[0], start, method="Nelder-Mead", options=options
+                )
+            assert np.array_equal(run.x, ref.x)
+            assert run.fun == ref.fun
+            assert run.nit == ref.nit
+            assert run.success == ref.success
+        if max_iters == 60:
+            assert not any(run.success for run in runs)
+        else:
+            assert all(run.success for run in runs)
+
+    def test_no_starts(self):
+        assert _nelder_mead(lambda z: np.zeros(len(z)), np.empty((0, 3)), 100, 1e-8) == []
 
 
 class TestScore:
