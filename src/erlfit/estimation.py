@@ -174,26 +174,30 @@ def _objective(spec: ModelSpec, data: Dataset):
         (PARAM_NAMES.index(name), shift if name == "theta" else 0.0)
         for name in spec.free_names
     ]
-    slots = [slot for slot, _offset in free]
-    offsets = np.array([offset for _slot, offset in free])
     fixed = spec.fixed_map
-    template = np.array([float(fixed.get(name, 0.0)) for name in PARAM_NAMES])
+    base = np.array([float(fixed.get(name, 0.0)) for name in PARAM_NAMES])
+    # values = base + exp(z) @ onehot: row i of onehot is 1 at the slot of
+    # free parameter i, and base holds that slot's offset.  Every other
+    # product is an exact zero (exp(z) is finite inside the box), so each
+    # value is offset + exp(z_i) exactly
+    onehot = np.zeros((len(free), len(PARAM_NAMES)))
+    for i, (slot, offset) in enumerate(free):
+        onehot[i, slot] = 1.0
+        base[slot] = offset
     x = data.values
 
     def values_at(z: np.ndarray) -> np.ndarray:
-        values = np.empty((len(z), len(PARAM_NAMES)))
-        values[:] = template
         # libm's exp per element, as a lone float gets: np.exp may differ
         # in the last bit, and fits would then depend on the batch
-        values[:, slots] = offsets + np.reshape(list(map(math.exp, z.ravel().tolist())), z.shape)
-        return values
+        exp_z = np.fromiter(map(math.exp, z.ravel().tolist()), np.float64, z.size)
+        return base + exp_z.reshape(z.shape) @ onehot
 
     def objective(z: np.ndarray) -> np.ndarray:
         # trust box: beyond e^30 the likelihood terms cancel at scales
         # where double precision returns noise, not likelihood; NaN fails too
-        inside = np.abs(z).max(axis=1) <= _Z_BOUND
-        if inside.all():
+        if np.abs(z).max(initial=0.0) <= _Z_BOUND:
             return _nll(values_at(z), x)
+        inside = np.abs(z).max(axis=1) <= _Z_BOUND
         out = np.full(len(z), math.inf)
         if inside.any():
             out[inside] = _nll(values_at(z[inside]), x)
