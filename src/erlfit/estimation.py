@@ -12,11 +12,12 @@ below zero), and the objective is built once per fit.
 The search is multi-started from a span heuristic plus seeded
 log-uniform draws, with a single polish restart of the best run.  All
 starts run in lock-step in one in-house Nelder-Mead driver: the
-simplices are one (S, k+1, k) array, every step evaluates the trial
-points of all live starts in one kernel call, and a start leaves the
-arrays when it converges.  Each start takes exactly scipy's default
-Nelder-Mead steps, so a fit is the one a loop over
-scipy.optimize.minimize would give.  Standard errors come from a
+simplices are one (S, k+1, k) array, every step evaluates the
+reflections of all live starts in one kernel call (then the expansion
+or contraction points, then any shrunken vertices, in one call each),
+and a start leaves the arrays when it converges.  Each start takes
+exactly scipy's default Nelder-Mead steps, so a fit is the one a loop
+over scipy.optimize.minimize would give.  Standard errors come from a
 centered finite-difference Hessian in the original parameterization;
 parameters whose Hessian entries are unusable (boundary kinks, failed
 inversions) report None rather than a made-up number.
