@@ -31,7 +31,15 @@ from .core import (
     shape_summaries,
 )
 from .errors import InputError, NumericalError
-from .estimation import Dataset, FitConfig, FitResult, fit_mle, nll, standard_errors
+from .estimation import (
+    Dataset,
+    FitConfig,
+    FitResult,
+    fit_level,
+    fit_mle,
+    nll,
+    standard_errors,
+)
 from .gof import gof_report, info_criteria, sample_kurtosis, sample_skewness
 from .submodels import DEFAULT_COMPARE, PARAM_LABELS, ModelSpec, get_model
 
@@ -163,15 +171,19 @@ def _model_record(fit: FitResult) -> dict:
 
 
 def _fit_models(data: Dataset, specs: Sequence[ModelSpec], cfg: FitConfig) -> list[FitResult]:
-    """Fit each spec, most constrained first, warm-starting later (less
-    constrained) specs from every compatible earlier optimum."""
-    ordered = sorted(specs, key=lambda s: (s.free_count, s.name))
+    """Fit the specs level by level, in ascending number of free
+    parameters k, and attach standard errors to the converged fits.
+
+    The specs of one level run as one lock-step search (fit_level),
+    their polish restarts as a second.  Each spec is warm-started from
+    every optimum of a lower level that it admits; fits of its own level
+    are not offered.  Within a level the specs go in name order.
+    """
     fits: list[FitResult] = []
-    for spec in ordered:
-        fit = fit_mle(spec, data, cfg, extra_starts=[f.params for f in fits])
-        if fit.converged:
-            fit = standard_errors(fit, data)
-        fits.append(fit)
+    for k in sorted({spec.free_count for spec in specs}):
+        level = sorted((spec for spec in specs if spec.free_count == k), key=lambda s: s.name)
+        for fit in fit_level(level, data, cfg, extra_starts=[f.params for f in fits]):
+            fits.append(standard_errors(fit, data) if fit.converged else fit)
     return fits
 
 

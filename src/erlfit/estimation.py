@@ -17,10 +17,23 @@ reflections of all live starts in one kernel call (then the expansion
 or contraction points, then any shrunken vertices, in one call each),
 and a start leaves the arrays when it converges.  Each start takes
 exactly scipy's default Nelder-Mead steps, so a fit is the one a loop
-over scipy.optimize.minimize would give.  Standard errors come from a
-centered finite-difference Hessian in the original parameterization;
-parameters whose Hessian entries are unusable (boundary kinks, failed
-inversions) report None rather than a made-up number.
+over scipy.optimize.minimize would give.
+
+fit_level fits several models with the same number of free parameters
+(a level) this way at once: _nelder_mead tells the objective which
+start each point belongs to, the objective maps every row through its
+own model's parameter map, and all rows go into one kernel call.  The
+starts of all the level's models form one run and their polish
+restarts (one per model) a second.  Since a kernel row does not depend
+on the batch it is evaluated in, each model's fit is exactly the one it
+gets alone; fit_mle is fit_level of one model.  Warm starts are offered
+by the caller (cli fits lower levels first) and each model takes those
+it admits.
+
+Standard errors come from a centered finite-difference Hessian in the
+original parameterization, its whole stencil evaluated in one kernel
+call; parameters whose Hessian entries are unusable (boundary kinks,
+failed inversions) report None rather than a made-up number.
 """
 
 from __future__ import annotations
@@ -162,49 +175,133 @@ def _theta_shift(data: Dataset) -> float:
     return -lo * (1.0 + _BOUND_EPS) + _BOUND_EPS
 
 
-def _objective(spec: ModelSpec, data: Dataset):
-    """(free, values_at, objective) of spec's search over data.
+def _objective(specs: Sequence[ModelSpec], data: Dataset):
+    """(free, values_at, objective) of the search of specs over data.
 
-    Free parameter i sits at values[slot_i] = offset_i + exp(z_i), with
-    free = [(slot_i, offset_i)]; the offset is the theta shift for theta
-    and 0 for the other four.  values_at maps rows of z, shape (m, k),
-    to rows (a, b, theta, lam, beta), and objective maps them to nll.
+    The specs share one number k of free parameters.  Free parameter i of
+    spec s sits at values[slot] = offset + exp(z_i), with free[s][i] =
+    (slot, offset); the offset is the theta shift for theta and 0 for the
+    other four.  values_at(z, models) maps rows of z, shape (m, k), to
+    rows (a, b, theta, lam, beta), row r through the map of
+    specs[models[r]]; objective(z, models) maps them to nll, all rows in
+    one kernel call.
     """
     shift = _theta_shift(data)
     free = [
-        (PARAM_NAMES.index(name), shift if name == "theta" else 0.0)
-        for name in spec.free_names
+        [(PARAM_NAMES.index(name), shift if name == "theta" else 0.0) for name in spec.free_names]
+        for spec in specs
     ]
-    fixed = spec.fixed_map
-    base = np.array([float(fixed.get(name, 0.0)) for name in PARAM_NAMES])
-    # values = base + exp(z) @ onehot: row i of onehot is 1 at the slot of
-    # free parameter i, and base holds that slot's offset.  Every other
-    # product is an exact zero (exp(z) is finite inside the box), so each
-    # value is offset + exp(z_i) exactly
-    onehot = np.zeros((len(free), len(PARAM_NAMES)))
-    for i, (slot, offset) in enumerate(free):
-        onehot[i, slot] = 1.0
-        base[slot] = offset
+    # base holds each spec's fixed values and, at its free slots, their
+    # offsets, so that adding exp(z_i) at slot_i gives offset_i + exp(z_i)
+    base = np.zeros((len(specs), len(PARAM_NAMES)))
+    for row, spec, spec_free in zip(base, specs, free):
+        for name, value in spec.fixed:
+            row[PARAM_NAMES.index(name)] = value
+        for slot, offset in spec_free:
+            row[slot] = offset
+    slots = np.array([[slot for slot, _offset in spec_free] for spec_free in free], dtype=np.intp)
     x = data.values
 
-    def values_at(z: np.ndarray) -> np.ndarray:
+    def values_at(z: np.ndarray, models: np.ndarray) -> np.ndarray:
         # libm's exp per element, as a lone float gets: np.exp may differ
         # in the last bit, and fits would then depend on the batch
         exp_z = np.fromiter(map(math.exp, z.ravel().tolist()), np.float64, z.size)
-        return base + exp_z.reshape(z.shape) @ onehot
+        values = base[models]
+        values[np.arange(len(z))[:, None], slots[models]] += exp_z.reshape(z.shape)
+        return values
 
-    def objective(z: np.ndarray) -> np.ndarray:
+    def objective(z: np.ndarray, models: np.ndarray) -> np.ndarray:
         # trust box: beyond e^30 the likelihood terms cancel at scales
         # where double precision returns noise, not likelihood; NaN fails too
         if np.abs(z).max(initial=0.0) <= _Z_BOUND:
-            return _nll(values_at(z), x)
+            return _nll(values_at(z, models), x)
         inside = np.abs(z).max(axis=1) <= _Z_BOUND
         out = np.full(len(z), math.inf)
         if inside.any():
-            out[inside] = _nll(values_at(z[inside]), x)
+            out[inside] = _nll(values_at(z[inside], models[inside]), x)
         return out
 
     return free, values_at, objective
+
+
+def fit_level(
+    specs: Sequence[ModelSpec],
+    data: Dataset,
+    cfg: FitConfig = FitConfig(),
+    *,
+    extra_starts: Optional[Sequence[ErlParams]] = None,
+) -> list[FitResult]:
+    """Multi-start Nelder-Mead maximum likelihood for specs that share one
+    number of free parameters, in one lock-step run; one FitResult per
+    spec, in order.
+
+    Each spec gets the starts of a fit of its own: the span heuristic,
+    cfg.starts - 1 seeded log-uniform draws, and every point of
+    extra_starts (e.g. fitted sub-models) that it admits.  All starts of
+    all specs run as one _nelder_mead call, then the polish restarts
+    (one per spec, from its best run) as a second.  A start takes the
+    same steps whatever else shares its run, so each result is the fit
+    of its spec alone.  Deterministic for a fixed cfg.seed.
+    """
+    k = specs[0].free_count
+    if any(spec.free_count != k for spec in specs):
+        raise ValueError("fit_level needs specs with one number of free parameters")
+    if data.n <= k:
+        raise ValueError(f"{specs[0].name}: need at least {k + 1} observations, got {data.n}")
+    span = float(data.values[-1] - data.values[0])
+    if span <= 0.0:
+        span = max(1.0, abs(float(data.values[0])))
+    free, values_at, objective = _objective(specs, data)
+
+    rng = np.random.default_rng(cfg.seed)
+    draws = [rng.uniform(math.log(1e-2), math.log(1e2), size=k) for _ in range(cfg.starts - 1)]
+    starts: list[np.ndarray] = []
+    owner: list[int] = []
+    for model, spec in enumerate(specs):
+        heuristic = [math.log(span) if name == "theta" else 0.0 for name in spec.free_names]
+        spec_starts = [np.asarray(heuristic, dtype=np.float64), *draws]
+        for params in extra_starts or ():
+            full = params.values()
+            offsets = [full[slot] - offset for slot, offset in free[model]]
+            if spec.admits(params) and all(o > 0.0 for o in offsets):
+                spec_starts.append(np.asarray([math.log(o) for o in offsets], dtype=np.float64))
+        starts += spec_starts
+        owner += [model] * len(spec_starts)
+    z0, owner = np.array(starts), np.array(owner, dtype=np.intp)
+    admissible = np.isfinite(objective(z0, owner))
+    z0, owner = z0[admissible], owner[admissible]
+    for model, spec in enumerate(specs):
+        if model not in owner:
+            raise ValueError(f"{spec.name}: no admissible starting point found")
+
+    best_z = np.empty((len(specs), k))
+    best_val = np.full(len(specs), math.inf)
+    converged = np.zeros(len(specs), dtype=bool)
+
+    def take(models, runs) -> None:
+        # a spec's first run with the lowest value wins
+        for model, res in zip(models, runs):
+            converged[model] |= bool(res.success)
+            if res.fun < best_val[model]:
+                best_val[model], best_z[model] = res.fun, res.x
+
+    main = _nelder_mead(lambda z, ids: objective(z, owner[ids]), z0, cfg.max_iters, cfg.tol)
+    take(owner.tolist(), main)
+    # one polish restart per spec: a fresh simplex around the winner often
+    # shaves the last little bit the first pass left on the table
+    take(range(len(specs)), _nelder_mead(objective, best_z, cfg.max_iters, cfg.tol))
+    values = values_at(best_z, np.arange(len(specs)))
+    return [
+        FitResult(
+            spec=spec,
+            params=ErlParams.from_values(*row),
+            nll=float(val),
+            n=data.n,
+            k=k,
+            converged=bool(conv),
+        )
+        for spec, row, val, conv in zip(specs, values.tolist(), best_val.tolist(), converged)
+    ]
 
 
 def fit_mle(
@@ -214,71 +311,29 @@ def fit_mle(
     *,
     extra_starts: Optional[Sequence[ErlParams]] = None,
 ) -> FitResult:
-    """Multi-start Nelder-Mead maximum likelihood for one model spec.
+    """Multi-start Nelder-Mead maximum likelihood for one model spec:
+    fit_level of spec alone.
 
     Deterministic for a fixed cfg.seed.  extra_starts may carry full
     parameter points (e.g. fitted sub-models) used as additional warm
     starts when they satisfy this spec's constraints.
     """
-    k = spec.free_count
-    if data.n <= k:
-        raise ValueError(f"{spec.name}: need at least {k + 1} observations, got {data.n}")
-    span = float(data.values[-1] - data.values[0])
-    if span <= 0.0:
-        span = max(1.0, abs(float(data.values[0])))
-    free, values_at, objective = _objective(spec, data)
-
-    starts: list[np.ndarray] = []
-    heuristic = [math.log(span) if name == "theta" else 0.0 for name in spec.free_names]
-    starts.append(np.asarray(heuristic, dtype=np.float64))
-    rng = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.starts - 1):
-        starts.append(rng.uniform(math.log(1e-2), math.log(1e2), size=k))
-    for params in extra_starts or ():
-        full = params.values()
-        offsets = [full[slot] - offset for slot, offset in free]
-        if spec.admits(params) and all(o > 0.0 for o in offsets):
-            starts.append(np.asarray([math.log(o) for o in offsets], dtype=np.float64))
-    z0 = np.array(starts)
-    z0 = z0[np.isfinite(objective(z0))]
-
-    best_z: Optional[np.ndarray] = None
-    best_val = math.inf
-    converged = False
-    for res in _nelder_mead(objective, z0, cfg.max_iters, cfg.tol):
-        converged = converged or bool(res.success)
-        if math.isfinite(res.fun) and res.fun < best_val:
-            best_val = float(res.fun)
-            best_z = res.x
-    if best_z is None:
-        raise ValueError(f"{spec.name}: no admissible starting point found")
-    # one polish restart: a fresh simplex around the winner often shaves
-    # the last little bit the first pass left on the table
-    (res,) = _nelder_mead(objective, best_z[None, :], cfg.max_iters, cfg.tol)
-    converged = converged or bool(res.success)
-    if math.isfinite(res.fun) and res.fun < best_val:
-        best_val = float(res.fun)
-        best_z = res.x
-    return FitResult(
-        spec=spec,
-        params=ErlParams.from_values(*values_at(best_z[None, :])[0].tolist()),
-        nll=best_val,
-        n=data.n,
-        k=k,
-        converged=converged,
-    )
+    (fit,) = fit_level([spec], data, cfg, extra_starts=extra_starts)
+    return fit
 
 
 def _nelder_mead(f, x0: np.ndarray, maxiter: int, fatol: float) -> list[optimize.OptimizeResult]:
     """Nelder-Mead from every row of x0, shape (S, N), in lock-step.
 
-    f maps an (m, N) array of points to their (m,) values.  Every start
-    takes exactly the steps of scipy.optimize.minimize(method=
-    "Nelder-Mead") with options maxiter, fatol and xatol=1e-8, but each
-    step evaluates the reflections of all live starts in one call of f,
-    then the expansion or contraction points of the starts that need
-    one, then the shrunken vertices.  All live starts are on the same
-    iteration; a start leaves the arrays when it converges.  Returns one
+    f(points, starts) maps an (m, N) array of points to their (m,)
+    values, where starts[r] is the row of x0 that point r belongs to, so
+    one run can hold starts of different objectives.  Every start takes
+    exactly the steps of scipy.optimize.minimize(method="Nelder-Mead")
+    with options maxiter, fatol and xatol=1e-8, but each step evaluates
+    the reflections of all live starts in one call of f, then the
+    expansion or contraction points of the starts that need one, then
+    the shrunken vertices.  All live starts are on the same iteration; a
+    start leaves the arrays when it converges.  Returns one
     OptimizeResult (x, fun, nit, success) per start, in order; success
     means it converged before maxiter, as in scipy.
     """
@@ -288,13 +343,13 @@ def _nelder_mead(f, x0: np.ndarray, maxiter: int, fatol: float) -> list[optimize
     for j in range(dim):
         coord = sim[:, j + 1, j]
         sim[:, j + 1, j] = np.where(coord != 0, (1 + _NONZDELT) * coord, _ZDELT)
-    fsim = f(sim.reshape(-1, dim)).reshape(n_starts, dim + 1)
-    rows = np.arange(n_starts)[:, None]
+    ids = np.arange(n_starts)
+    fsim = f(sim.reshape(-1, dim), np.repeat(ids, dim + 1)).reshape(n_starts, dim + 1)
+    rows = ids[:, None]
     # scipy sorts the first simplex twice, and argsort is not stable
     for _ in range(2):
         order = np.argsort(fsim, axis=1)
         sim, fsim = sim[rows, order], fsim[rows, order]
-    ids = np.arange(n_starts)
     nit = 1
 
     def finish(i: int, success: bool) -> None:
@@ -321,18 +376,18 @@ def _nelder_mead(f, x0: np.ndarray, maxiter: int, fatol: float) -> list[optimize
             worst = sim[:, -1]
             f_worst = fsim[:, -1]
             xr = (1 + _RHO) * xbar - _RHO * worst
-            fxr = f(xr)
+            fxr = f(xr, ids)
             expand = fxr < fsim[:, 0]
             second = expand | ~(fxr < fsim[:, -2])
             outside = fxr < f_worst
             coef = _SECOND_POINT[np.where(expand, 0, np.where(outside, 1, 2))]
             x2 = coef[:, :1] * xbar - coef[:, 1:] * worst
             if second.all():
-                f2 = f(x2)
+                f2 = f(x2, ids)
             else:
                 f2 = np.full(ids.size, math.inf)
                 if second.any():
-                    f2[second] = f(x2[second])
+                    f2[second] = f(x2[second], ids[second])
             take2 = second & np.where(expand, f2 < fxr, np.where(outside, f2 <= fxr, f2 < f_worst))
             shrink = second & ~(expand | take2)
             shrinking = shrink.any()
@@ -343,7 +398,8 @@ def _nelder_mead(f, x0: np.ndarray, maxiter: int, fatol: float) -> list[optimize
             fsim[:, -1] = np.where(take2, f2, fxr)
             if shrinking:
                 sim[shrink, 1:] = shrunk
-                fsim[shrink, 1:] = f(shrunk.reshape(-1, dim)).reshape(-1, dim)
+                owners = np.repeat(ids[shrink], dim)
+                fsim[shrink, 1:] = f(shrunk.reshape(-1, dim), owners).reshape(-1, dim)
             nit += 1
             order = np.argsort(fsim, axis=1)
             sim, fsim = sim[rows, order], fsim[rows, order]
@@ -368,24 +424,38 @@ def standard_errors(fit: FitResult, data: Dataset) -> FitResult:
     k = free.size
     steps = 1e-4 * np.maximum(np.abs(free), 1e-3)
 
-    def f(vals: np.ndarray) -> float:
-        try:
-            return nll(spec.embed(vals), data)
-        except ValueError:
-            return math.inf
+    # the whole stencil as one kernel call, its values read back below in
+    # the order the points go in; a point that leaves the parameter space
+    # (a value <= 0 or not finite) is +inf
+    unit = np.diag(steps)
+    points = [free]
+    for i in range(k):
+        points += [free + unit[i], free - unit[i]]
+        for j in range(i + 1, k):
+            points += [
+                free + unit[i] + unit[j],
+                free + unit[i] - unit[j],
+                free - unit[i] + unit[j],
+                free - unit[i] - unit[j],
+            ]
+    points = np.array(points)
+    fixed = [float(spec.fixed_map.get(name, 0.0)) for name in PARAM_NAMES]
+    rows = np.tile(fixed, (len(points), 1))
+    rows[:, [PARAM_NAMES.index(name) for name in spec.free_names]] = points
+    valid = np.all(np.isfinite(points) & (points > 0.0), axis=1)
+    vals = np.full(len(points), math.inf)
+    if valid.any():
+        vals[valid] = _nll(rows[valid], data.values)
+    f = iter(vals.tolist())
 
     hess = np.full((k, k), math.nan)
-    f0 = f(free)
+    f0 = next(f)
     for i in range(k):
-        ei = np.zeros(k)
-        ei[i] = steps[i]
-        hess[i, i] = (f(free + ei) - 2.0 * f0 + f(free - ei)) / steps[i] ** 2
+        hess[i, i] = (next(f) - 2.0 * f0 + next(f)) / steps[i] ** 2
         for j in range(i + 1, k):
-            ej = np.zeros(k)
-            ej[j] = steps[j]
-            hess[i, j] = hess[j, i] = (
-                f(free + ei + ej) - f(free + ei - ej) - f(free - ei + ej) + f(free - ei - ej)
-            ) / (4.0 * steps[i] * steps[j])
+            hess[i, j] = hess[j, i] = (next(f) - next(f) - next(f) + next(f)) / (
+                4.0 * steps[i] * steps[j]
+            )
 
     se: list[Optional[float]] = [None] * k
     # a parameter at the support boundary (e.g. theta pinned near -min x)

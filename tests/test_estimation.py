@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from erlfit import estimation
 from erlfit.baseline import BaselineParams
+from erlfit.cli import _fit_models, run_compare
 from erlfit.core import ErlParams, erl_sample
 from erlfit.datasets import load_synthetic
 from erlfit.estimation import (
@@ -22,12 +24,13 @@ from erlfit.estimation import (
     _nelder_mead,
     _nll,
     _objective,
+    fit_level,
     fit_mle,
     nll,
     score_ab,
     standard_errors,
 )
-from erlfit.submodels import MODELS, get_model
+from erlfit.submodels import DEFAULT_COMPARE, MODELS, get_model
 
 EXP_BASE = BaselineParams(1.0, 0.5, 2.0)
 EXP_POINT = ErlParams(1.0, 1.0, EXP_BASE)
@@ -35,6 +38,13 @@ RECOVERY_POINT = ErlParams(2.0, 1.5, BaselineParams(1.0, 1.0, 1.0))
 FREE_COUNTS = {
     "ERLD": 5, "LRLD": 4, "ExpRLD": 4, "BLD": 4, "BRD": 4, "RLD": 3, "ExpLD": 3, "Rayleigh": 1,
 }
+LEVEL_4 = ("BLD", "BRD", "ExpRLD", "LRLD")
+
+
+def one_model(objective):
+    """The objective of a one-spec search, called on points alone or as
+    _nelder_mead calls it, on (points, starts)."""
+    return lambda z, starts=None: objective(z, np.zeros(len(z), dtype=np.intp))
 
 
 class TestDataset:
@@ -95,7 +105,7 @@ class TestRowsKernel:
 
     def test_objective_box_and_nan(self):
         data = Dataset(erl_sample(300, RECOVERY_POINT, seed=3))
-        _free, _values_at, objective = _objective(get_model("ERLD"), data)
+        objective = one_model(_objective([get_model("ERLD")], data)[2])
         z = np.random.default_rng(4).uniform(-1.0, 1.0, size=(6, 5))
         z[1, 3] = 30.5  # outside the search box
         z[2, 0] = math.nan
@@ -118,7 +128,7 @@ class TestNelderMead:
     )
     def test_each_start_matches_scipy(self, name, max_iters, outside):
         spec = get_model(name)
-        _free, _values_at, objective = _objective(spec, load_synthetic())
+        objective = one_model(_objective([spec], load_synthetic())[2])
         z0 = np.random.default_rng(0).uniform(math.log(1e-2), math.log(1e2), (3, spec.free_count))
         z0[0] = 0.0
         if outside:
@@ -140,8 +150,34 @@ class TestNelderMead:
         else:
             assert all(run.success for run in runs)
 
+    @pytest.mark.parametrize("max_iters", [2000, 60])
+    def test_mixed_models_match_scipy(self, max_iters):
+        # one run holds starts of two models with four free parameters;
+        # each start must take the steps of a scipy run on its own model
+        _free, _values_at, objective = _objective(
+            [get_model("BRD"), get_model("ExpRLD")], load_synthetic()
+        )
+        z0 = np.random.default_rng(1).uniform(math.log(1e-2), math.log(1e2), (4, 4))
+        owner = np.array([0, 1, 1, 0])
+        options = {"maxiter": max_iters, "fatol": 1e-8, "xatol": 1e-8}
+        runs = _nelder_mead(lambda z, starts: objective(z, owner[starts]), z0, max_iters, 1e-8)
+        for start, model, run in zip(z0, owner, runs):
+            models = np.array([model])
+            with np.errstate(invalid="ignore"):
+                ref = optimize.minimize(
+                    lambda z: objective(z[None, :], models)[0],
+                    start,
+                    method="Nelder-Mead",
+                    options=options,
+                )
+            assert np.array_equal(run.x, ref.x)
+            assert run.fun == ref.fun
+            assert run.nit == ref.nit
+            assert run.success == ref.success
+        assert [run.success for run in runs] == [max_iters == 2000] * len(runs)
+
     def test_no_starts(self):
-        assert _nelder_mead(lambda z: np.zeros(len(z)), np.empty((0, 3)), 100, 1e-8) == []
+        assert _nelder_mead(lambda z, starts: np.zeros(len(z)), np.empty((0, 3)), 100, 1e-8) == []
 
 
 class TestScore:
@@ -253,6 +289,63 @@ class TestFit:
             FitConfig(starts=0)
         with pytest.raises(ValueError):
             FitConfig(tol=0.0)
+
+
+class TestLevels:
+    """Models with one number of free parameters fit in one lock-step run,
+    each exactly as it fits alone."""
+
+    @staticmethod
+    def same_fit(one: FitResult, two: FitResult) -> bool:
+        return (one.spec, one.params, one.nll, one.converged, one.se) == (
+            two.spec, two.params, two.nll, two.converged, two.se
+        )
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_level_equals_separate_fits(self, seed):
+        data = load_synthetic()
+        cfg = FitConfig(seed=seed)
+        specs = [get_model(name) for name in LEVEL_4]
+        level = fit_level(specs, data, cfg)
+        assert [fit.spec for fit in level] == specs
+        for fit, spec in zip(level, specs):
+            assert self.same_fit(fit, fit_mle(spec, data, cfg))
+
+    def test_fit_models_equals_sequential_loop(self):
+        data = load_synthetic()
+        cfg = FitConfig(seed=0)
+        specs = [get_model(name) for name in DEFAULT_COMPARE]
+        # one model at a time, most constrained first, each warm-started
+        # from every earlier optimum it admits, same level or not
+        sequential: list[FitResult] = []
+        for spec in sorted(specs, key=lambda s: (s.free_count, s.name)):
+            fit = fit_mle(spec, data, cfg, extra_starts=[f.params for f in sequential])
+            sequential.append(standard_errors(fit, data) if fit.converged else fit)
+        levels = _fit_models(data, specs, cfg)
+        assert len(levels) == len(sequential)
+        assert all(self.same_fit(one, two) for one, two in zip(levels, sequential))
+
+    def test_compare_work_count(self, monkeypatch):
+        # fitted one model at a time, compare carried these 170,783 rows in
+        # 21,073 calls: the same rows mean every start took the same steps,
+        # and the calls fall as the models of a level share them
+        calls = rows = 0
+
+        def counted(values, x):
+            nonlocal calls, rows
+            calls += 1
+            rows += len(values)
+            return _nll(values, x)
+
+        monkeypatch.setattr(estimation, "_nll", counted)
+        specs = [get_model(name) for name in DEFAULT_COMPARE]
+        run_compare(load_synthetic(), specs, FitConfig(seed=0))
+        assert rows == 170_783
+        assert calls <= 14_000
+
+    def test_level_needs_one_free_count(self):
+        with pytest.raises(ValueError):
+            fit_level([get_model("RLD"), get_model("ERLD")], load_synthetic())
 
 
 class TestStandardErrors:
