@@ -7,11 +7,13 @@ is
     K(x) = 1 - exp(-(beta / 2) * v**(2 * lam))
 
 so T = (beta / 2) * v**(2*lam) is a unit exponential variate and every
-closed form below follows from that transform.  _transform, _exponent
-and _log_k_plus_t are the only code in the package that forms v and T;
-the family's functions and the likelihood call them on raw floats.  At
-theta = 1, lam = 0.5, beta = 2 the law collapses to a unit exponential
-shifted to start at -1, which the tests lean on heavily.
+closed form below follows from that transform.  _transform, _exponent,
+_log_k_plus_t and _log_transform are the only code in the package that
+forms v and T.  The family's functions call the first three on raw
+floats; the likelihood kernel calls _log_transform on parameter columns,
+one per row of its (rows, n) arrays, and takes T from the ln v it needs
+anyway.  At theta = 1, lam = 0.5, beta = 2 the law collapses to a unit
+exponential shifted to start at -1, which the tests lean on heavily.
 """
 
 from __future__ import annotations
@@ -39,24 +41,6 @@ class BaselineParams:
                 raise ValueError(f"BaselineParams.{name} must be a finite positive number")
 
 
-def _log_each(q):
-    """math.log of a float, or of each entry of an array.
-
-    A parameter point in a column of many gets the same libm log as a
-    lone float, so its likelihood does not depend on the batch it was
-    evaluated in (np.log may differ in the last bit).
-    """
-    if np.ndim(q) == 0:
-        return math.log(q)
-    return np.reshape(list(map(math.log, q.ravel().tolist())), q.shape)
-
-
-# exponents at which np.power with a float exponent takes a shortcut
-# (reciprocal, one, sqrt, copy, square) that can round differently from
-# the pow it applies to a column of exponents
-_POW_SHORTCUTS = (-1.0, 0.0, 0.5, 1.0, 2.0)
-
-
 def _transform(x, theta, lam, beta):
     """(v, T) at x: v = (theta + x) / theta, clipped to 0 outside the
     support, and T = _exponent(v, lam, beta), which is 0 there."""
@@ -65,36 +49,29 @@ def _transform(x, theta, lam, beta):
     return v, _exponent(v, lam, beta)
 
 
+def _log_transform(x, theta, lam, beta):
+    """(ln v, T) at x, the likelihood kernel's form of _transform: T is
+    exp(2 lam ln v + ln(beta / 2)), reusing ln v instead of a power.
+
+    v stays (theta + x) / theta: near the support shift theta + x is
+    exact, while x / theta rounds and log1p(x / theta) would lose most
+    digits of the smallest v.  Off the support ln v is NaN or -inf; the
+    caller sets np.errstate.
+    """
+    log_v = np.log((theta + x) / theta)
+    return log_v, np.exp(2.0 * lam * log_v + np.log(0.5 * beta))
+
+
 def _exponent(v, lam, beta):
     """T = (beta / 2) * v**(2 lam); the unit-exponential transform."""
     with np.errstate(divide="ignore", over="ignore"):
-        return 0.5 * beta * _power(v, 2.0 * lam)
-
-
-def _power(v, e):
-    """v ** e as np.power gives it for a float e, also where e is an
-    (m, 1) column with one exponent per row of v.  A column of one
-    exponent (a fixed lam) is raised as that float in one call."""
-    if np.ndim(e) == 0:
-        return np.power(v, e)
-    col = e[:, 0].tolist()
-    if col.count(col[0]) == len(col):
-        return np.power(v, col[0])
-    out = np.power(v, e)
-    for i, ei in enumerate(col):
-        if ei in _POW_SHORTCUTS:
-            out[i] = np.power(v[i], ei)
-    return out
+        return 0.5 * beta * np.power(v, 2.0 * lam)
 
 
 def _log_k_plus_t(v, theta, lam, beta):
-    """ln k + T at v > 0: the log density without its -T term.
-
-    The parameters are floats, or (m, 1) columns that give each row of
-    v its own parameter point.
-    """
+    """ln k + T at v > 0: the log density without its -T term."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _log_each(beta * lam / theta) + (2.0 * lam - 1.0) * np.log(v)
+        return math.log(beta * lam / theta) + (2.0 * lam - 1.0) * np.log(v)
 
 
 def baseline_cdf(x, p: BaselineParams):

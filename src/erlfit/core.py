@@ -8,10 +8,12 @@ K and k the baseline cdf/pdf and B(a, b) the beta function,
 
 on the support x > -theta.  Every function takes v = (theta + x)/theta
 and T = (beta/2) v^(2 lam) from the baseline module, which alone forms
-them.  Densities are assembled in log space; the survival function goes
-through the swapped-argument incomplete beta I_{1-K}(b, a) so the right
-tail never suffers 1 - cdf cancellation.  The quantile inverts I_K(a, b)
-for K below I_{1/2}(a, b) and the complementary I_{1-K}(b, a) above it,
+them.  Densities are assembled in log space, on float parameters; the
+likelihood kernel in estimation needs only three sums over the data and
+does not call them.  The survival function goes through the
+swapped-argument incomplete beta I_{1-K}(b, a) so the right tail never
+suffers 1 - cdf cancellation.  The quantile inverts I_K(a, b) for K
+below I_{1/2}(a, b) and the complementary I_{1-K}(b, a) above it,
 so T = -ln(1 - K) stays finite after K itself would round to 1.  Where
 a double can no longer hold 1 - K (T > 700) or K (K < 1e-300), the
 survival and the quantile use the leading term of the incomplete beta,
@@ -48,7 +50,7 @@ from .baseline import (
     _v_at,
 )
 from .errors import NumericalError
-from .specfun import _log_beta_each, inv_reg_inc_beta, log_beta, reg_inc_beta
+from .specfun import _log_beta, inv_reg_inc_beta, log_beta, reg_inc_beta
 
 _MOMENT_NODES = 256
 _MOMENT_NODES_CHECK = 512
@@ -79,16 +81,16 @@ class ErlParams:
 
 
 def _log_density_v(v, t, a, b, theta, lam, beta):
-    """ln g at v = (theta + x)/theta > 0 and its T, grouped so the tail
-    exponent -b*T forms before any inf products can appear.  The
-    parameters are floats or (m, 1) columns, one per row of v."""
+    """ln g at v = (theta + x)/theta > 0 and its T, for float parameters,
+    grouped so the tail exponent -b*T forms before any inf products can
+    appear."""
     with np.errstate(divide="ignore", invalid="ignore"):
         log_big_k = np.log(-np.expm1(-t))
         return (
             (a - 1.0) * log_big_k
             + _log_k_plus_t(v, theta, lam, beta)
             - b * t
-            - _log_beta_each(a, b)
+            - _log_beta(a, b)
         )
 
 

@@ -1,13 +1,21 @@
 """Maximum-likelihood estimation for the family and its sub-models.
 
-The negative log-likelihood is assembled from the same log-density core
-the pdf uses, as one kernel over rows of raw floats (a, b, theta, lam,
-beta): _nll maps an (m, 5) array to m values, taking the rows in chunks
-of at most 2^14 doubles per (rows, n) temporary.  Points at or outside
-the support boundary make a row +inf, which is how the simplex search
-learns about the theta constraint theta > -min(x).  Free parameters are
-searched in log space (theta as ln(theta - shift) when the data dips
-below zero), and the objective is built once per fit.
+The log-likelihood depends on the data only through three sums,
+
+    l = n ln(beta lam / theta) + (2 lam - 1) sum ln v_i
+        + (a - 1) sum ln(1 - e^-T_i) - b sum T_i - n ln B(a, b),
+
+so the kernel over rows of raw floats (a, b, theta, lam, beta) forms
+ln v and T once per point (baseline._log_transform), takes the three row
+sums (_sums) and combines them with per-row scalars: _nll maps an (m, 5)
+array to m values, taking the rows in chunks of at most 2^14 doubles
+per (rows, n) temporary.  A row's value does not depend on the batch it
+is evaluated in; a lone row is a (1, 5) array.  The (a, b) score reads
+the same sums.  Points at or outside the support boundary make a row
++inf, which is how the simplex search learns about the theta constraint
+theta > -min(x).  Free parameters are searched in log space (theta as
+ln(theta - shift) when the data dips below zero), and the objective is
+built once per fit.
 
 The search is multi-started from a span heuristic plus seeded
 log-uniform draws, with a single polish restart of the best run.  All
@@ -45,9 +53,9 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import optimize
 
-from .baseline import _transform
-from .core import ErlParams, _log_density_v
-from .specfun import digamma
+from .baseline import _log_transform
+from .core import ErlParams
+from .specfun import _log_beta, digamma
 from .submodels import PARAM_NAMES, ModelSpec
 
 _BOUND_EPS = 1e-9
@@ -132,38 +140,58 @@ def nll(params: ErlParams, data: Dataset) -> float:
 def _nll(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     """nll at each row (a, b, theta, lam, beta) of values, shape (m, 5),
     for data x sorted ascending; +inf where a point is off the support
-    or the sum is not finite."""
+    or the sum is not finite.
+
+    Per row, -nll = n ln(beta lam / theta) + (2 lam - 1) sum ln v
+    + (a - 1) sum ln(1 - e^-T) - b sum T - n ln B(a, b).
+    """
     out = np.empty(len(values))
-    step = max(1, _CHUNK_DOUBLES // x.size)
-    for lo in range(0, len(values), step):
-        rows = values[lo : lo + step]
-        # parameter columns, one per row of (v, T); a lone row runs on
-        # floats, where numpy's per-call overhead is lower
-        a, b, theta, lam, beta = rows[0].tolist() if len(rows) == 1 else rows.T[:, :, None]
-        v, t = _transform(x, theta, lam, beta)
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = np.sum(_log_density_v(v, t, a, b, theta, lam, beta), axis=-1)
-        inside = (x[0] > -np.ravel(theta)) & np.isfinite(total)
-        out[lo : lo + step] = np.where(inside, -total, math.inf)
+    n = x.size
+    step = max(1, _CHUNK_DOUBLES // n)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for lo in range(0, len(values), step):
+            a, b, theta, lam, beta = values[lo : lo + step].T
+            sum_log_v, sum_t, sum_log_k = _sums(x, theta, lam, beta)
+            lnb = np.fromiter(map(_log_beta, a.tolist(), b.tolist()), np.float64, a.size)
+            total = (
+                n * np.log(beta * lam / theta)
+                + (2.0 * lam - 1.0) * sum_log_v
+                + (a - 1.0) * sum_log_k
+                - b * sum_t
+                - n * lnb
+            )
+            inside = (x[0] > -theta) & np.isfinite(total)
+            out[lo : lo + step] = np.where(inside, -total, math.inf)
     return out
 
 
+def _sums(x: np.ndarray, theta: np.ndarray, lam: np.ndarray, beta: np.ndarray):
+    """(sum ln v, sum T, sum ln(1 - e^-T)) over x at each entry of theta,
+    lam and beta, shape (m,): the data part of the log-likelihood, and
+    of the (a, b) score.  The caller sets np.errstate."""
+    log_v, t = _log_transform(x, theta[:, None], lam[:, None], beta[:, None])
+    log_big_k = np.log(-np.expm1(-t))
+    return log_v.sum(axis=1), t.sum(axis=1), log_big_k.sum(axis=1)
+
+
 def score_ab(params: ErlParams, data: Dataset) -> tuple[float, float]:
-    """Analytic score components for the shape pair (a, b).
+    """Analytic score components for the shape pair (a, b), from the
+    sums the likelihood kernel reads.
 
     d l / d a = n [psi(a+b) - psi(a)] + sum ln K(x_i)
-    d l / d b = n [psi(a+b) - psi(b)] + sum ln(1 - K(x_i))
+    d l / d b = n [psi(a+b) - psi(b)] + sum ln(1 - K(x_i)),  ln(1 - K) = -T
     """
     _a, _b, theta, lam, beta = params.values()
     if data.values[0] <= -theta:
         raise ValueError("score_ab requires every point inside the support")
-    _v, t = _transform(data.values, theta, lam, beta)
-    log_big_k = np.log(-np.expm1(-t))
-    log_comp_k = -t
+    with np.errstate(divide="ignore", over="ignore"):
+        _sum_log_v, sum_t, sum_log_k = _sums(
+            data.values, np.array([theta]), np.array([lam]), np.array([beta])
+        )
     n = data.n
     common = digamma(params.a + params.b)
-    d_a = n * (common - digamma(params.a)) + float(np.sum(log_big_k))
-    d_b = n * (common - digamma(params.b)) + float(np.sum(log_comp_k))
+    d_a = n * (common - digamma(params.a)) + float(sum_log_k[0])
+    d_b = n * (common - digamma(params.b)) - float(sum_t[0])
     return (d_a, d_b)
 
 

@@ -22,16 +22,8 @@ import numpy as np
 from scipy import special
 
 # Stirling series: ln G(x) ~ (x-1/2) ln x - x + ln sqrt(2 pi)
-#                            + sum_k B_{2k} / (2k (2k-1) x^{2k-1})
-_STIRLING_COEFFS = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-)
+#                            + sum_k B_{2k} / (2k (2k-1) x^{2k-1}),
+# taken to k = 7 in _stirling_tail
 _STIRLING_CUT = 13.0
 
 
@@ -65,10 +57,13 @@ def _stirling_tail(y: float) -> float:
     """Stirling correction S(y) with ln G(y) = (y-1/2) ln y - y + ln sqrt(2 pi) + S(y)."""
     inv = 1.0 / y
     inv2 = inv * inv
-    series = 0.0
-    for c in reversed(_STIRLING_COEFFS):
-        series = series * inv2 + c
-    return series / y
+    # Horner in 1/y^2, highest coefficient first
+    s = (1.0 / 156.0) * inv2 - 691.0 / 360360.0
+    s = s * inv2 + 1.0 / 1188.0
+    s = s * inv2 - 1.0 / 1680.0
+    s = s * inv2 + 1.0 / 1260.0
+    s = s * inv2 - 1.0 / 360.0
+    return (s * inv2 + 1.0 / 12.0) / y
 
 
 def _log_beta(a: float, b: float) -> float:
@@ -85,14 +80,6 @@ def _log_beta(a: float, b: float) -> float:
     )
 
 
-def _log_beta_each(a, b):
-    """_log_beta of two floats, or of each pair of entries of two arrays
-    of one shape."""
-    if np.ndim(a) == 0:
-        return _log_beta(float(a), float(b))
-    return np.reshape(list(map(_log_beta, a.ravel().tolist(), b.ravel().tolist())), a.shape)
-
-
 def log_beta(a, b):
     """ln B(a, b) for a, b > 0 (see the module docstring for the method)."""
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
@@ -102,7 +89,8 @@ def log_beta(a, b):
     (aa, ba), scalar = _promote(a, b)
     if aa.size and not (np.all(aa > 0.0) and np.all(ba > 0.0)):
         raise ValueError("log_beta requires a > 0 and b > 0")
-    return _maybe_scalar(_log_beta_each(aa, ba), scalar)
+    out = np.fromiter(map(_log_beta, aa.ravel().tolist(), ba.ravel().tolist()), np.float64, aa.size)
+    return _maybe_scalar(out.reshape(aa.shape), scalar)
 
 
 def beta_fn(a, b):

@@ -12,9 +12,9 @@ import pytest
 from scipy import optimize
 
 from erlfit import estimation
-from erlfit.baseline import BaselineParams
+from erlfit.baseline import BaselineParams, _transform
 from erlfit.cli import _fit_models, run_compare
-from erlfit.core import ErlParams, erl_sample
+from erlfit.core import ErlParams, _log_density_v, erl_sample
 from erlfit.datasets import load_synthetic
 from erlfit.estimation import (
     _CHUNK_DOUBLES,
@@ -102,6 +102,42 @@ class TestRowsKernel:
         assert np.array_equal(batch, [_nll(row[None, :], x)[0] for row in values])
         assert batch[0] == math.inf and batch[1] == math.inf
         assert np.all(np.isfinite(batch[2:5]))
+
+    @pytest.mark.parametrize("n", [37, 2000])
+    def test_matches_pointwise_sum(self, n):
+        # the kernel's three sums against the pdf's per-point log-density,
+        # summed exactly, at rows across the search box
+        data = load_synthetic() if n == 37 else Dataset(erl_sample(n, RECOVERY_POINT, seed=n))
+        x = data.values
+        z = np.random.default_rng(n).uniform(-30.0, 30.0, size=(900, 5))
+        values = _objective([get_model("ERLD")], data)[1](z, np.zeros(len(z), dtype=np.intp))
+        values[:100, 0] = 1.0
+        values[100:200, 3] = 0.5
+        values[200:300, 3] = 1.0
+        values[300:400, 3] = math.exp(30.0)  # T underflows at the points below 0
+        kernel = _nll(values, x)
+        underflows = 0
+        for row, got in zip(values.tolist(), kernel.tolist()):
+            a, b, theta, lam, beta = row
+            v, t = _transform(x, theta, lam, beta)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                # where v^(2 lam) alone leaves the double range, the pdf
+                # path's T is 0 or inf though (beta/2) v^(2 lam) need not
+                # be (one row at n = 2000); take T there from the logarithms
+                power = np.power(v, 2.0 * lam)
+                lost = (v > 0.0) & ((power == 0.0) | (power == math.inf))
+                t[lost] = np.exp(2.0 * lam * np.log(v[lost]) + math.log(0.5 * beta))
+                terms = _log_density_v(v, t, a, b, theta, lam, beta)
+            underflows += bool(np.any(t[v > 0.0] == 0.0))
+            try:
+                total = math.fsum(terms) if np.all(np.isfinite(terms)) else math.nan
+            except OverflowError:
+                total = math.nan
+            if math.isfinite(total):
+                assert abs(got + total) <= 1e-12 * math.fsum(np.abs(terms))
+            else:
+                assert got == math.inf
+        assert underflows >= 50
 
     def test_objective_box_and_nan(self):
         data = Dataset(erl_sample(300, RECOVERY_POINT, seed=3))
@@ -326,9 +362,11 @@ class TestLevels:
         assert all(self.same_fit(one, two) for one, two in zip(levels, sequential))
 
     def test_compare_work_count(self, monkeypatch):
-        # fitted one model at a time, compare carried these 170,783 rows in
-        # 21,073 calls: the same rows mean every start took the same steps,
-        # and the calls fall as the models of a level share them
+        # fitted one model at a time, compare carried these 162,715 rows in
+        # 20,857 calls: the same rows mean every start took the same steps,
+        # and the calls fall as the models of a level share them.  The row
+        # count moves whenever the kernel's rounding does, because every
+        # trajectory moves with it
         calls = rows = 0
 
         def counted(values, x):
@@ -340,7 +378,7 @@ class TestLevels:
         monkeypatch.setattr(estimation, "_nll", counted)
         specs = [get_model(name) for name in DEFAULT_COMPARE]
         run_compare(load_synthetic(), specs, FitConfig(seed=0))
-        assert rows == 170_783
+        assert rows == 162_715
         assert calls <= 14_000
 
     def test_level_needs_one_free_count(self):
