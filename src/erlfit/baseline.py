@@ -11,8 +11,10 @@ closed form below follows from that transform.  _transform, _exponent,
 _log_k_plus_t and _log_transform are the only code in the package that
 forms v and T.  The family's functions call the first three on raw
 floats; the likelihood kernel calls _log_transform on parameter columns,
-one per row of its (rows, n) arrays, and takes T from the ln v it needs
-anyway.  At theta = 1, lam = 0.5, beta = 2 the law collapses to a unit
+one per row of its (rows, n) arrays.  Both take T as
+exp(2 lam ln v + ln(beta / 2)), which stays a double wherever T is one,
+and the kernel reuses the ln v it needs anyway.  At theta = 1,
+lam = 0.5, beta = 2 the law collapses to a unit
 exponential shifted to start at -1, which the tests lean on heavily.
 """
 
@@ -49,8 +51,9 @@ def _transform(x, theta, lam, beta):
     return v, _exponent(v, lam, beta)
 
 
-def _log_transform(x, theta, lam, beta):
-    """(ln v, T) at x, the likelihood kernel's form of _transform: T is
+def _log_transform(x, theta, lam, beta, out):
+    """(ln v, T) at x, written into out[0] and out[1]: the likelihood
+    kernel's form of _transform, in which T is
     exp(2 lam ln v + ln(beta / 2)), reusing ln v instead of a power.
 
     v stays (theta + x) / theta: near the support shift theta + x is
@@ -58,14 +61,23 @@ def _log_transform(x, theta, lam, beta):
     digits of the smallest v.  Off the support ln v is NaN or -inf; the
     caller sets np.errstate.
     """
-    log_v = np.log((theta + x) / theta)
-    return log_v, np.exp(2.0 * lam * log_v + np.log(0.5 * beta))
+    log_v, t = out
+    np.add(theta, x, out=log_v)
+    np.divide(log_v, theta, out=log_v)
+    np.log(log_v, out=log_v)
+    np.multiply(2.0 * lam, log_v, out=t)
+    np.add(t, np.log(0.5 * beta), out=t)
+    np.exp(t, out=t)
+    return log_v, t
 
 
 def _exponent(v, lam, beta):
-    """T = (beta / 2) * v**(2 lam); the unit-exponential transform."""
+    """T = (beta / 2) v^(2 lam), the unit-exponential transform, as
+    exp(2 lam ln v + ln(beta / 2)), the form _log_transform takes: T is
+    a double wherever it can be, even where v^(2 lam) alone would leave
+    the double range.  0 at v = 0."""
     with np.errstate(divide="ignore", over="ignore"):
-        return 0.5 * beta * np.power(v, 2.0 * lam)
+        return np.exp(2.0 * lam * np.log(v) + np.log(0.5 * beta))
 
 
 def _log_k_plus_t(v, theta, lam, beta):

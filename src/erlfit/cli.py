@@ -35,7 +35,7 @@ from .estimation import (
     Dataset,
     FitConfig,
     FitResult,
-    fit_level,
+    fit_ladder,
     fit_mle,
     nll,
     standard_errors,
@@ -171,20 +171,20 @@ def _model_record(fit: FitResult) -> dict:
 
 
 def _fit_models(data: Dataset, specs: Sequence[ModelSpec], cfg: FitConfig) -> list[FitResult]:
-    """Fit the specs level by level, in ascending number of free
-    parameters k, and attach standard errors to the converged fits.
+    """Fit the specs as one ladder, in ascending number of free
+    parameters k and within one k in name order, and attach standard
+    errors to the converged fits.
 
-    The specs of one level run as one lock-step search (fit_level),
-    their polish restarts as a second.  Each spec is warm-started from
-    every optimum of a lower level that it admits; fits of its own level
-    are not offered.  Within a level the specs go in name order.
+    fit_ladder runs every start of every spec in one lock-step search.
+    Each spec is warm-started from every optimum of a lower level that
+    it admits, as soon as that optimum is final; fits of its own level
+    are not offered.
     """
-    fits: list[FitResult] = []
-    for k in sorted({spec.free_count for spec in specs}):
-        level = sorted((spec for spec in specs if spec.free_count == k), key=lambda s: s.name)
-        for fit in fit_level(level, data, cfg, extra_starts=[f.params for f in fits]):
-            fits.append(standard_errors(fit, data) if fit.converged else fit)
-    return fits
+    ladder = sorted(specs, key=lambda spec: (spec.free_count, spec.name))
+    return [
+        standard_errors(fit, data) if fit.converged else fit
+        for fit in fit_ladder(ladder, data, cfg)
+    ]
 
 
 def run_compare(data: Dataset, specs: Sequence[ModelSpec], cfg: FitConfig) -> dict:

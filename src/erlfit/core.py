@@ -10,9 +10,10 @@ on the support x > -theta.  Every function takes v = (theta + x)/theta
 and T = (beta/2) v^(2 lam) from the baseline module, which alone forms
 them.  Densities are assembled in log space, on float parameters; the
 likelihood kernel in estimation needs only three sums over the data and
-does not call them.  The survival function goes through the
-swapped-argument incomplete beta I_{1-K}(b, a) so the right tail never
-suffers 1 - cdf cancellation.  The quantile inverts I_K(a, b) for K
+does not call them.  The cdf and the survival each come from the
+incomplete beta or its complement, from K below the median of K and
+from 1 - K = exp(-T) above it, so neither suffers the cancellation of
+one minus the other.  The quantile inverts I_K(a, b) for K
 below I_{1/2}(a, b) and the complementary I_{1-K}(b, a) above it,
 so T = -ln(1 - K) stays finite after K itself would round to 1.  Where
 a double can no longer hold 1 - K (T > 700) or K (K < 1e-300), the
@@ -104,42 +105,47 @@ def erl_pdf(x, p: ErlParams):
 
 
 def erl_cdf(x, p: ErlParams):
-    """G(x) = I_{K(x)}(a, b).
-
-    Above the median of K the complementary form 1 - I_{exp(-T)}(b, a)
-    is used: exp(-T) keeps full relative precision after K itself has
-    rounded to 1, which matters once b < 1 puts an infinite-slope
-    corner at the top of the beta map.
-    """
+    """G(x) = I_{K(x)}(a, b), in full relative precision (see _tail)."""
     scalar = np.ndim(x) == 0
     _v, t = _transform(x, p.base.theta, p.base.lam, p.base.beta)
-    big_k = -np.expm1(-t)
-    upper = big_k > 0.5
-    direct = reg_inc_beta(np.where(upper, 0.0, big_k), p.a, p.b)
-    flipped = 1.0 - _survival_at(np.where(upper, t, 0.0), p)
-    out = np.asarray(np.where(upper, flipped, direct))
+    out = _tail(t, p, survival=False)
     return float(out[()]) if scalar else out
 
 
 def erl_survival(x, p: ErlParams):
-    """1 - G(x), computed as I_{1-K(x)}(b, a) to keep the tail exact."""
+    """1 - G(x) = I_{1-K(x)}(b, a), in full relative precision (see _tail)."""
     scalar = np.ndim(x) == 0
     _v, t = _transform(x, p.base.theta, p.base.lam, p.base.beta)
-    out = _survival_at(t, p)
+    out = _tail(t, p, survival=True)
     return float(out[()]) if scalar else out
 
 
-def _survival_at(t, p: ErlParams) -> np.ndarray:
-    """I_{1-K}(b, a) at T, where 1 - K = exp(-T).
+def _tail(t, p: ErlParams, survival: bool) -> np.ndarray:
+    """G, or with survival 1 - G, at T, where K = 1 - exp(-T).
 
-    exp(-T) underflows from T = 745 on while the survival can still be
-    large at small b; from T = 700 on it is the leading term
-    (1-K)^b / (b B(a, b)) = exp(-bT - ln b - ln B(a, b)) in doubles.
+    Each side comes from the regularized incomplete beta or from its
+    complement betaincc, whichever gives it without cancellation.  Up to
+    the median of K they take K: G = I_K(a, b) and 1 - G = I^c_K(a, b).
+    Above it they take 1 - K = exp(-T), which keeps full relative
+    precision after K has rounded to 1: G = I^c_{1-K}(b, a) and
+    1 - G = I_{1-K}(b, a).  exp(-T) underflows from T = 745 on while the
+    survival can still be large at small b; from T = 700 on the survival
+    is the leading term (1-K)^b / (b B(a, b)) = exp(-bT - ln b - ln B(a, b))
+    in doubles, and G = 1 - survival.
     """
-    t = np.asarray(t)
+    t = np.asarray(t, dtype=np.float64)
+    big_k = -np.expm1(-t)
+    lower = big_k <= 0.5
     deep = t > 700.0
-    out = np.asarray(reg_inc_beta(np.exp(-np.where(deep, 0.0, t)), p.b, p.a))
-    out[deep] = np.exp(-(p.b * t[deep] + math.log(p.b) + log_beta(p.a, p.b)))
+    upper = ~(lower | deep)
+    of_k, of_one_minus_k = special.betainc, special.betaincc
+    if survival:
+        of_k, of_one_minus_k = of_one_minus_k, of_k
+    out = np.empty(t.shape)
+    out[lower] = of_k(p.a, p.b, big_k[lower])
+    out[upper] = of_one_minus_k(p.b, p.a, np.exp(-t[upper]))
+    deep_survival = np.exp(-(p.b * t[deep] + math.log(p.b) + log_beta(p.a, p.b)))
+    out[deep] = deep_survival if survival else 1.0 - deep_survival
     return out
 
 

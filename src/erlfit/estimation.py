@@ -19,24 +19,28 @@ built once per fit.
 
 The search is multi-started from a span heuristic plus seeded
 log-uniform draws, with a single polish restart of the best run.  All
-starts run in lock-step in one in-house Nelder-Mead driver: the
-simplices are one (S, k+1, k) array, every step evaluates the
-reflections of all live starts in one kernel call (then the expansion
-or contraction points, then any shrunken vertices, in one call each),
-and a start leaves the arrays when it converges.  Each start takes
-exactly scipy's default Nelder-Mead steps, so a fit is the one a loop
-over scipy.optimize.minimize would give.
+starts run in lock-step in one in-house Nelder-Mead optimizer
+(neldermead._nelder_mead): the simplices are one (S, k+1, k) array, k
+the largest number of free parameters among them; every step evaluates
+the reflections of all live starts in one kernel call (then the
+expansion or contraction points, then any shrunken vertices, in one
+call each), and a start leaves the arrays when it converges or reaches
+its own maxiter.  Each start takes exactly scipy's default Nelder-Mead
+steps, so a fit is the one a loop over scipy.optimize.minimize would
+give.
 
-fit_level fits several models with the same number of free parameters
-(a level) this way at once: _nelder_mead tells the objective which
+fit_ladder fits several models this way in one run, whatever their
+numbers k of free parameters: _nelder_mead tells the objective which
 start each point belongs to, the objective maps every row through its
-own model's parameter map, and all rows go into one kernel call.  The
-starts of all the level's models form one run and their polish
-restarts (one per model) a second.  Since a kernel row does not depend
-on the batch it is evaluated in, each model's fit is exactly the one it
-gets alone; fit_mle is fit_level of one model.  Warm starts are offered
-by the caller (cli fits lower levels first) and each model takes those
-it admits.
+own model's parameter map, and all rows go into one kernel call.  A
+start joins the run as soon as its point exists: the heuristic and the
+draws of every model at once, a warm start from the optimum of a model
+with fewer free parameters when that fit is final, and a model's polish
+when its last start has finished.  Since a kernel row does not depend
+on the batch it is evaluated in, and each model's runs are reduced in
+its own start order, each model's fit is exactly the one it gets alone;
+fit_mle is fit_ladder of one model, and fit_level of models that share
+one k.
 
 Standard errors come from a centered finite-difference Hessian in the
 original parameterization, its whole stencil evaluated in one kernel
@@ -55,6 +59,7 @@ from scipy import optimize
 
 from .baseline import _log_transform
 from .core import ErlParams
+from .neldermead import _nelder_mead, _pad
 from .specfun import _log_beta, digamma
 from .submodels import PARAM_NAMES, ModelSpec
 
@@ -63,18 +68,6 @@ _BOUND_EPS = 1e-9
 # doubles per (rows, n) temporary, so a batch of trial points at large n
 # costs little memory over a single one
 _CHUNK_DOUBLES = 16384
-# scipy's default Nelder-Mead: reflection, expansion, contraction and
-# shrink coefficients, the relative and zero-coordinate steps of the
-# initial simplex, and the simplex-size tolerance fit_mle has always used
-_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
-_NONZDELT, _ZDELT = 0.05, 0.00025
-_XATOL = 1e-8
-# the second trial point c0 * xbar - c1 * worst of an expansion, an outside
-# and an inside contraction; x - (-c) y is exactly x + c y, so the inside
-# contraction (1 - psi) xbar + psi worst fits the same form
-_SECOND_POINT = np.array(
-    [[1 + _RHO * _CHI, _RHO * _CHI], [1 + _PSI * _RHO, _PSI * _RHO], [1 - _PSI, -_PSI]]
-)
 # search box half-width in log-parameter space; e^30 ~ 1e13 comfortably
 # covers any realistic estimate while keeping the arithmetic trustworthy
 _Z_BOUND = 30.0
@@ -165,13 +158,20 @@ def _nll(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sums(x: np.ndarray, theta: np.ndarray, lam: np.ndarray, beta: np.ndarray):
+def _sums(x: np.ndarray, theta: np.ndarray, lam: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """(sum ln v, sum T, sum ln(1 - e^-T)) over x at each entry of theta,
     lam and beta, shape (m,): the data part of the log-likelihood, and
-    of the (a, b) score.  The caller sets np.errstate."""
-    log_v, t = _log_transform(x, theta[:, None], lam[:, None], beta[:, None])
-    log_big_k = np.log(-np.expm1(-t))
-    return log_v.sum(axis=1), t.sum(axis=1), log_big_k.sum(axis=1)
+    of the (a, b) score, as a (3, m) array.  The three (m, n) terms go
+    into one work array and are summed in one reduction.  The caller
+    sets np.errstate."""
+    work = np.empty((3, theta.size, x.size))
+    _log_transform(x, theta[:, None], lam[:, None], beta[:, None], out=work[:2])
+    t, log_big_k = work[1], work[2]
+    np.negative(t, out=log_big_k)
+    np.expm1(log_big_k, out=log_big_k)
+    np.negative(log_big_k, out=log_big_k)
+    np.log(log_big_k, out=log_big_k)
+    return np.add.reduce(work, axis=2)
 
 
 def score_ab(params: ErlParams, data: Dataset) -> tuple[float, float]:
@@ -206,12 +206,13 @@ def _theta_shift(data: Dataset) -> float:
 def _objective(specs: Sequence[ModelSpec], data: Dataset):
     """(free, values_at, objective) of the search of specs over data.
 
-    The specs share one number k of free parameters.  Free parameter i of
-    spec s sits at values[slot] = offset + exp(z_i), with free[s][i] =
-    (slot, offset); the offset is the theta shift for theta and 0 for the
-    other four.  values_at(z, models) maps rows of z, shape (m, k), to
-    rows (a, b, theta, lam, beta), row r through the map of
-    specs[models[r]]; objective(z, models) maps them to nll, all rows in
+    Free parameter i of spec s sits at values[slot] = offset + exp(z_i),
+    with free[s][i] = (slot, offset); the offset is the theta shift for
+    theta and 0 for the other four.  values_at(z, models) maps rows of z,
+    shape (m, w), to rows (a, b, theta, lam, beta), row r through the map
+    of specs[models[r]], which reads the first k of the w columns (the
+    specs may differ in k; the columns past a row's k are padding and
+    must be finite); objective(z, models) maps them to nll, all rows in
     one kernel call.
     """
     shift = _theta_shift(data)
@@ -220,14 +221,17 @@ def _objective(specs: Sequence[ModelSpec], data: Dataset):
         for spec in specs
     ]
     # base holds each spec's fixed values and, at its free slots, their
-    # offsets, so that adding exp(z_i) at slot_i gives offset_i + exp(z_i)
-    base = np.zeros((len(specs), len(PARAM_NAMES)))
-    for row, spec, spec_free in zip(base, specs, free):
+    # offsets, so that adding exp(z_i) at slot_i gives offset_i + exp(z_i);
+    # its last column is a spare that takes the padding of narrower specs
+    spare = len(PARAM_NAMES)
+    base = np.zeros((len(specs), spare + 1))
+    slots = np.full((len(specs), max(len(spec_free) for spec_free in free)), spare, dtype=np.intp)
+    for row, spec_slots, spec, spec_free in zip(base, slots, specs, free):
         for name, value in spec.fixed:
             row[PARAM_NAMES.index(name)] = value
-        for slot, offset in spec_free:
+        for i, (slot, offset) in enumerate(spec_free):
             row[slot] = offset
-    slots = np.array([[slot for slot, _offset in spec_free] for spec_free in free], dtype=np.intp)
+            spec_slots[i] = slot
     x = data.values
 
     def values_at(z: np.ndarray, models: np.ndarray) -> np.ndarray:
@@ -235,8 +239,8 @@ def _objective(specs: Sequence[ModelSpec], data: Dataset):
         # in the last bit, and fits would then depend on the batch
         exp_z = np.fromiter(map(math.exp, z.ravel().tolist()), np.float64, z.size)
         values = base[models]
-        values[np.arange(len(z))[:, None], slots[models]] += exp_z.reshape(z.shape)
-        return values
+        values[np.arange(len(z))[:, None], slots[models, : z.shape[1]]] += exp_z.reshape(z.shape)
+        return np.ascontiguousarray(values[:, :spare])
 
     def objective(z: np.ndarray, models: np.ndarray) -> np.ndarray:
         # trust box: beyond e^30 the likelihood terms cancel at scales
@@ -252,6 +256,143 @@ def _objective(specs: Sequence[ModelSpec], data: Dataset):
     return free, values_at, objective
 
 
+def fit_ladder(
+    specs: Sequence[ModelSpec],
+    data: Dataset,
+    cfg: FitConfig = FitConfig(),
+    *,
+    extra_starts: Optional[Sequence[ErlParams]] = None,
+) -> list[FitResult]:
+    """Multi-start Nelder-Mead maximum likelihood for every spec, in one
+    lock-step run; one FitResult per spec, in order.
+
+    Each spec gets the starts of a fit of its own, in this order: the
+    span heuristic; cfg.starts - 1 seeded log-uniform draws, the same for
+    every spec with its number k of free parameters; every point of
+    extra_starts that it admits; and the optimum of every spec with
+    fewer free parameters that it admits (a warm start), in the order of
+    specs.  A start whose likelihood is not finite is dropped.  The best
+    run then gets one polish restart.
+
+    All of it is one _nelder_mead run, in which each start joins as soon
+    as its point exists: the heuristic, the draws and extra_starts at
+    once, a warm start when the fit it comes from is final, and a spec's
+    polish when its last start has finished.  A start takes the same
+    steps whatever else shares the run, and each spec's runs are reduced
+    in the order above (the first lowest value wins, then the polish if
+    it is lower still), so each result is the fit of its spec alone from
+    those starts.  Deterministic for a fixed cfg.seed.
+    """
+    for spec in specs:
+        if data.n <= spec.free_count:
+            raise ValueError(
+                f"{spec.name}: need at least {spec.free_count + 1} observations, got {data.n}"
+            )
+    span = float(data.values[-1] - data.values[0])
+    if span <= 0.0:
+        span = max(1.0, abs(float(data.values[0])))
+    free, values_at, objective = _objective(specs, data)
+    draws = {}
+    for k in {spec.free_count for spec in specs}:
+        rng = np.random.default_rng(cfg.seed)
+        draws[k] = [rng.uniform(math.log(1e-2), math.log(1e2), size=k) for _ in range(cfg.starts - 1)]
+
+    def warm(model: int, params: ErlParams) -> Optional[np.ndarray]:
+        # the start of specs[model] at params, or None if it does not admit them
+        full = params.values()
+        offsets = [full[slot] - offset for slot, offset in free[model]]
+        if specs[model].admits(params) and all(o > 0.0 for o in offsets):
+            return np.array([math.log(o) for o in offsets])
+        return None
+
+    # runs[s] holds spec s's starts in reduction order: None while a start
+    # runs or its point does not exist yet, False once it is dropped, and
+    # then its OptimizeResult; lower[s] are the specs that warm-start it,
+    # whose entries close runs[s]
+    lower = [
+        [t for t, other in enumerate(specs) if other.free_count < spec.free_count]
+        for spec in specs
+    ]
+    candidates = []
+    runs: list[list] = []
+    for model, spec in enumerate(specs):
+        heuristic = [math.log(span) if name == "theta" else 0.0 for name in spec.free_names]
+        points = [np.array(heuristic), *draws[spec.free_count]]
+        points += [z for z in (warm(model, p) for p in extra_starts or ()) if z is not None]
+        candidates += [(model, entry, z) for entry, z in enumerate(points)]
+        runs.append([None] * (len(points) + len(lower[model])))
+    best: list[Optional[optimize.OptimizeResult]] = [None] * len(specs)
+    fits: list[Optional[FitResult]] = [None] * len(specs)
+    # (spec, entry in runs, or None for a polish) of every start, in the
+    # order the starts join the run, and the specs as an array for f
+    roles: list[tuple[int, Optional[int]]] = []
+    owners = np.empty(0, dtype=np.intp)
+
+    def launch(candidates) -> list[np.ndarray]:
+        """The points of the candidates (spec, entry, z) that are finite,
+        and the polish of every spec whose starts have all finished."""
+        nonlocal owners
+        points = []
+        if candidates:
+            models = np.array([model for model, _entry, _z in candidates], dtype=np.intp)
+            finite = np.isfinite(objective(_pad([z for *_, z in candidates]), models))
+            for (model, entry, z), ok in zip(candidates, finite):
+                if ok:
+                    roles.append((model, entry))
+                    points.append(z)
+                else:
+                    runs[model][entry] = False
+        for model, spec_runs in enumerate(runs):
+            if best[model] is None and None not in spec_runs:
+                finished = [run for run in spec_runs if run is not False]
+                if not finished:
+                    raise ValueError(f"{specs[model].name}: no admissible starting point found")
+                # a fresh simplex around the winner often shaves the last
+                # little bit the first pass left on the table
+                best[model] = min(finished, key=lambda run: run.fun)
+                roles.append((model, None))
+                points.append(best[model].x)
+        owners = np.array([model for model, _entry in roles], dtype=np.intp)
+        return points
+
+    def join(done) -> list[np.ndarray]:
+        candidates = []
+        for start, run in done:
+            model, entry = roles[start]
+            if entry is not None:
+                runs[model][entry] = run
+                continue
+            final = run if run.fun < best[model].fun else best[model]
+            converged = run.success or any(r is not False and r.success for r in runs[model])
+            row = values_at(final.x[None, :], np.array([model]))[0]
+            fits[model] = FitResult(
+                spec=specs[model],
+                params=ErlParams.from_values(*row.tolist()),
+                nll=float(final.fun),
+                n=data.n,
+                k=specs[model].free_count,
+                converged=bool(converged),
+            )
+            for other, sources in enumerate(lower):
+                if model in sources:
+                    z = warm(other, fits[model].params)
+                    entry = len(runs[other]) - len(sources) + sources.index(model)
+                    if z is None:
+                        runs[other][entry] = False
+                    else:
+                        candidates.append((other, entry, z))
+        return launch(candidates)
+
+    _nelder_mead(
+        lambda z, starts: objective(z, owners[starts]),
+        launch(candidates),
+        cfg.max_iters,
+        cfg.tol,
+        join=join,
+    )
+    return fits
+
+
 def fit_level(
     specs: Sequence[ModelSpec],
     data: Dataset,
@@ -259,77 +400,11 @@ def fit_level(
     *,
     extra_starts: Optional[Sequence[ErlParams]] = None,
 ) -> list[FitResult]:
-    """Multi-start Nelder-Mead maximum likelihood for specs that share one
-    number of free parameters, in one lock-step run; one FitResult per
-    spec, in order.
-
-    Each spec gets the starts of a fit of its own: the span heuristic,
-    cfg.starts - 1 seeded log-uniform draws, and every point of
-    extra_starts (e.g. fitted sub-models) that it admits.  All starts of
-    all specs run as one _nelder_mead call, then the polish restarts
-    (one per spec, from its best run) as a second.  A start takes the
-    same steps whatever else shares its run, so each result is the fit
-    of its spec alone.  Deterministic for a fixed cfg.seed.
-    """
-    k = specs[0].free_count
-    if any(spec.free_count != k for spec in specs):
+    """fit_ladder of specs that share one number of free parameters (a
+    level), so that none warm-starts another."""
+    if any(spec.free_count != specs[0].free_count for spec in specs):
         raise ValueError("fit_level needs specs with one number of free parameters")
-    if data.n <= k:
-        raise ValueError(f"{specs[0].name}: need at least {k + 1} observations, got {data.n}")
-    span = float(data.values[-1] - data.values[0])
-    if span <= 0.0:
-        span = max(1.0, abs(float(data.values[0])))
-    free, values_at, objective = _objective(specs, data)
-
-    rng = np.random.default_rng(cfg.seed)
-    draws = [rng.uniform(math.log(1e-2), math.log(1e2), size=k) for _ in range(cfg.starts - 1)]
-    starts: list[np.ndarray] = []
-    owner: list[int] = []
-    for model, spec in enumerate(specs):
-        heuristic = [math.log(span) if name == "theta" else 0.0 for name in spec.free_names]
-        spec_starts = [np.asarray(heuristic, dtype=np.float64), *draws]
-        for params in extra_starts or ():
-            full = params.values()
-            offsets = [full[slot] - offset for slot, offset in free[model]]
-            if spec.admits(params) and all(o > 0.0 for o in offsets):
-                spec_starts.append(np.asarray([math.log(o) for o in offsets], dtype=np.float64))
-        starts += spec_starts
-        owner += [model] * len(spec_starts)
-    z0, owner = np.array(starts), np.array(owner, dtype=np.intp)
-    admissible = np.isfinite(objective(z0, owner))
-    z0, owner = z0[admissible], owner[admissible]
-    for model, spec in enumerate(specs):
-        if model not in owner:
-            raise ValueError(f"{spec.name}: no admissible starting point found")
-
-    best_z = np.empty((len(specs), k))
-    best_val = np.full(len(specs), math.inf)
-    converged = np.zeros(len(specs), dtype=bool)
-
-    def take(models, runs) -> None:
-        # a spec's first run with the lowest value wins
-        for model, res in zip(models, runs):
-            converged[model] |= bool(res.success)
-            if res.fun < best_val[model]:
-                best_val[model], best_z[model] = res.fun, res.x
-
-    main = _nelder_mead(lambda z, ids: objective(z, owner[ids]), z0, cfg.max_iters, cfg.tol)
-    take(owner.tolist(), main)
-    # one polish restart per spec: a fresh simplex around the winner often
-    # shaves the last little bit the first pass left on the table
-    take(range(len(specs)), _nelder_mead(objective, best_z, cfg.max_iters, cfg.tol))
-    values = values_at(best_z, np.arange(len(specs)))
-    return [
-        FitResult(
-            spec=spec,
-            params=ErlParams.from_values(*row),
-            nll=float(val),
-            n=data.n,
-            k=k,
-            converged=bool(conv),
-        )
-        for spec, row, val, conv in zip(specs, values.tolist(), best_val.tolist(), converged)
-    ]
+    return fit_ladder(specs, data, cfg, extra_starts=extra_starts)
 
 
 def fit_mle(
@@ -340,100 +415,14 @@ def fit_mle(
     extra_starts: Optional[Sequence[ErlParams]] = None,
 ) -> FitResult:
     """Multi-start Nelder-Mead maximum likelihood for one model spec:
-    fit_level of spec alone.
+    fit_ladder of spec alone.
 
     Deterministic for a fixed cfg.seed.  extra_starts may carry full
     parameter points (e.g. fitted sub-models) used as additional warm
     starts when they satisfy this spec's constraints.
     """
-    (fit,) = fit_level([spec], data, cfg, extra_starts=extra_starts)
+    (fit,) = fit_ladder([spec], data, cfg, extra_starts=extra_starts)
     return fit
-
-
-def _nelder_mead(f, x0: np.ndarray, maxiter: int, fatol: float) -> list[optimize.OptimizeResult]:
-    """Nelder-Mead from every row of x0, shape (S, N), in lock-step.
-
-    f(points, starts) maps an (m, N) array of points to their (m,)
-    values, where starts[r] is the row of x0 that point r belongs to, so
-    one run can hold starts of different objectives.  Every start takes
-    exactly the steps of scipy.optimize.minimize(method="Nelder-Mead")
-    with options maxiter, fatol and xatol=1e-8, but each step evaluates
-    the reflections of all live starts in one call of f, then the
-    expansion or contraction points of the starts that need one, then
-    the shrunken vertices.  All live starts are on the same iteration; a
-    start leaves the arrays when it converges.  Returns one
-    OptimizeResult (x, fun, nit, success) per start, in order; success
-    means it converged before maxiter, as in scipy.
-    """
-    n_starts, dim = x0.shape
-    results: list = [None] * n_starts
-    sim = np.repeat(x0[:, None, :], dim + 1, axis=1)
-    for j in range(dim):
-        coord = sim[:, j + 1, j]
-        sim[:, j + 1, j] = np.where(coord != 0, (1 + _NONZDELT) * coord, _ZDELT)
-    ids = np.arange(n_starts)
-    fsim = f(sim.reshape(-1, dim), np.repeat(ids, dim + 1)).reshape(n_starts, dim + 1)
-    rows = ids[:, None]
-    # scipy sorts the first simplex twice, and argsort is not stable
-    for _ in range(2):
-        order = np.argsort(fsim, axis=1)
-        sim, fsim = sim[rows, order], fsim[rows, order]
-    nit = 1
-
-    def finish(i: int, success: bool) -> None:
-        results[ids[i]] = optimize.OptimizeResult(
-            x=sim[i, 0].copy(), fun=np.min(fsim[i]), nit=nit, success=success
-        )
-
-    with np.errstate(invalid="ignore"):  # inf - inf while a simplex is all +inf
-        while nit < maxiter and ids.size:
-            # each simplex is sorted, so scipy's max |f0 - fj| is fN - f0
-            done = fsim[:, -1] - fsim[:, 0] <= fatol
-            if done.any():
-                spread = np.abs(sim[:, 1:] - sim[:, :1]).reshape(ids.size, -1).max(axis=1)
-                done &= spread <= _XATOL
-            if done.any():
-                for i in np.flatnonzero(done):
-                    finish(i, True)
-                live = ~done
-                sim, fsim, ids = sim[live], fsim[live], ids[live]
-                rows = rows[: ids.size]
-                if not ids.size:
-                    break
-            xbar = np.add.reduce(sim[:, :-1], 1) / dim
-            worst = sim[:, -1]
-            f_worst = fsim[:, -1]
-            xr = (1 + _RHO) * xbar - _RHO * worst
-            fxr = f(xr, ids)
-            expand = fxr < fsim[:, 0]
-            second = expand | ~(fxr < fsim[:, -2])
-            outside = fxr < f_worst
-            coef = _SECOND_POINT[np.where(expand, 0, np.where(outside, 1, 2))]
-            x2 = coef[:, :1] * xbar - coef[:, 1:] * worst
-            if second.all():
-                f2 = f(x2, ids)
-            else:
-                f2 = np.full(ids.size, math.inf)
-                if second.any():
-                    f2[second] = f(x2[second], ids[second])
-            take2 = second & np.where(expand, f2 < fxr, np.where(outside, f2 <= fxr, f2 < f_worst))
-            shrink = second & ~(expand | take2)
-            shrinking = shrink.any()
-            if shrinking:
-                best = sim[shrink, :1]
-                shrunk = best + _SIGMA * (sim[shrink, 1:] - best)
-            sim[:, -1] = np.where(take2[:, None], x2, xr)
-            fsim[:, -1] = np.where(take2, f2, fxr)
-            if shrinking:
-                sim[shrink, 1:] = shrunk
-                owners = np.repeat(ids[shrink], dim)
-                fsim[shrink, 1:] = f(shrunk.reshape(-1, dim), owners).reshape(-1, dim)
-            nit += 1
-            order = np.argsort(fsim, axis=1)
-            sim, fsim = sim[rows, order], fsim[rows, order]
-    for i in range(ids.size):
-        finish(i, False)
-    return results
 
 
 def standard_errors(fit: FitResult, data: Dataset) -> FitResult:

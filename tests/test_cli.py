@@ -361,7 +361,7 @@ class TestConvergenceFailure:
                               n=data.n, k=spec.free_count, converged=False)
                     for spec in specs]
 
-        monkeypatch.setattr("erlfit.cli.fit_level", never_converges)
+        monkeypatch.setattr("erlfit.cli.fit_ladder", never_converges)
         out = tmp_path / "fit.json"
         rc = main(["fit", "--input", data_file, "--models", "RLD",
                    "--output", str(out)])

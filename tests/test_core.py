@@ -56,6 +56,9 @@ DEEP_TAIL_POINT = ErlParams(2.0, 0.001, BaselineParams(1.0, 1.0, 1.0))
 # a = 0.01, lam = 100: K = I^{-1}_p(a, b) lies far below the smallest
 # double at p = 1e-4, yet x is well inside the support
 SMALL_A_POINT = ErlParams(0.01, 5.0, BaselineParams(1.0, 100.0, 1.0))
+# lam = 148: at x = -0.85828 v^(2 lam) = e^-755 lies below the smallest
+# double, while T = (beta/2) v^(2 lam) = 3.4e-321 is still one
+HIGH_POWER_POINT = ErlParams(0.5, 881078.3, BaselineParams(0.93076, 147.99, 9.1647e7))
 
 # sets where the fixed-order quadrature accepts; the lam=0.8 member of
 # MIXED_SETS makes it refuse, which test_untrustworthy_quadrature_raises
@@ -118,6 +121,13 @@ class TestCdf:
 
     def test_support_edge(self):
         assert erl_cdf(-1.0, POWER_POINT) == 0.0
+
+    def test_exponent_below_power_range_against_mpmath(self):
+        # mpmath at 50 digits, at the double x; T is subnormal there, so
+        # it carries only about 4 digits, and G ~ T^a and g ~ T^(a-1)
+        x = -0.85828
+        assert erl_cdf(x, HIGH_POWER_POINT) == pytest.approx(6.1787793558442212e-158, rel=1e-3)
+        assert erl_pdf(x, HIGH_POWER_POINT) == pytest.approx(1.2615860332110741e-154, rel=1e-3)
 
     @pytest.mark.parametrize("p", MIXED_SETS)
     def test_monotone_within_unit_interval(self, p):

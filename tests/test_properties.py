@@ -12,8 +12,7 @@ checks the same cases.
 import math
 
 import numpy as np
-import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erlfit.baseline import _v_at
@@ -36,8 +35,6 @@ TAIL = log_uniform(1e-300, 0.5)
 PROBS = st.lists(st.one_of(TAIL, TAIL.map(lambda q: 1.0 - q)), min_size=1, max_size=8)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=EXAMPLES, deadline=None)
-# a known defect: stop at the first failing example, without shrinking it
-DEFECT = settings(PROPERTY, phases=[Phase.generate])
 
 
 def points(p: ErlParams, exponents) -> np.ndarray:
@@ -62,39 +59,20 @@ def test_pdf_is_nonnegative(p, exponents):
     assert np.all(erl_pdf(points(p, exponents), p) >= 0.0)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="below the median of K the survival is I_{exp(-T)}(b, a), and exp(-T) "
-    "keeps only the absolute precision of 1 - T: at T < 1e-8 and a < 0.5 "
-    "cdf + survival misses 1 by up to 3e-8",
-)
-@DEFECT
+@PROPERTY
 @given(PARAMS, EXPONENTS)
 def test_cdf_plus_survival_is_one(p, exponents):
     x = points(p, exponents)
     assert np.all(np.abs(erl_cdf(x, p) + erl_survival(x, p) - 1.0) <= 1e-10)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="above the median of K the cdf is 1 - I_{exp(-T)}(b, a), which "
-    "cancels to 0 where the cdf is itself tiny (a > 40 with small b), so a "
-    "cdf of 1e-118 can be followed by 0",
-)
-@DEFECT
+@PROPERTY
 @given(PARAMS, EXPONENTS)
 def test_cdf_does_not_decrease(p, exponents):
     assert np.all(np.diff(erl_cdf(points(p, exponents), p)) >= 0.0)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the same cancellation gives cdf 0 at quantiles of p down to 1e-40 "
-    "when a is large and b small; the cdf's T = (beta/2) v^(2 lam) underflows "
-    "to 0 where the quantile's K is below 1e-300; and below p = 1e-280 at "
-    "a > 200 the round trip is off by orders of magnitude",
-)
-@DEFECT
+@PROPERTY
 @given(PARAMS, PROBS)
 def test_cdf_inverts_quantile(p, probs):
     prob = np.asarray(probs)
