@@ -8,10 +8,10 @@ is
 
 so T = (beta / 2) * v**(2*lam) is a unit exponential variate and every
 closed form below follows from that transform.  _transform, _exponent,
-_log_k_plus_t and _log_transform are the only code in the package that
-forms v and T.  The family's functions call the first three on raw
-floats; the likelihood kernel calls _log_transform on parameter columns,
-one per row of its (rows, n) arrays.  Both take T as
+_log_exponent, _log_k_plus_t and _log_transform are the only code in the
+package that forms v and T.  The family's functions call the first
+four on raw floats; the likelihood kernel calls _log_transform on
+parameter columns, one per row of its (rows, n) arrays.  Both take T as
 exp(2 lam ln v + ln(beta / 2)), which stays a double wherever T is one,
 and the kernel reuses the ln v it needs anyway.  At theta = 1,
 lam = 0.5, beta = 2 the law collapses to a unit
@@ -76,8 +76,15 @@ def _exponent(v, lam, beta):
     exp(2 lam ln v + ln(beta / 2)), the form _log_transform takes: T is
     a double wherever it can be, even where v^(2 lam) alone would leave
     the double range.  0 at v = 0."""
-    with np.errstate(divide="ignore", over="ignore"):
-        return np.exp(2.0 * lam * np.log(v) + np.log(0.5 * beta))
+    with np.errstate(over="ignore"):
+        return np.exp(_log_exponent(v, lam, beta))
+
+
+def _log_exponent(v, lam, beta):
+    """ln T at v, in full precision where T itself is subnormal or 0;
+    -inf at v = 0."""
+    with np.errstate(divide="ignore"):
+        return 2.0 * lam * np.log(v) + np.log(0.5 * beta)
 
 
 def _log_k_plus_t(v, theta, lam, beta):
@@ -104,8 +111,10 @@ def baseline_pdf(x, p: BaselineParams):
 
 
 def _v_at(t, lam, beta):
-    """The inverse of _exponent: v at which T takes the value t."""
-    return np.power((2.0 / beta) * t, 0.5 / lam)
+    """The inverse of _exponent: v at which T takes the value t.  Beyond
+    the doubles (small lam) an array gives +inf, under the caller's
+    np.errstate, and a Python float raises OverflowError."""
+    return ((2.0 / beta) * t) ** (0.5 / lam)
 
 
 def _quantile_v(prob, p: BaselineParams):
@@ -122,7 +131,7 @@ def baseline_quantile(prob, p: BaselineParams):
     pa = np.asarray(prob, dtype=np.float64)
     if pa.size and (np.any(pa < 0.0) or np.any(pa > 1.0) or not np.all(np.isfinite(pa))):
         raise ValueError("baseline_quantile requires prob in [0, 1]")
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         out = np.where(pa == 1.0, np.inf, p.theta * _quantile_v(pa, p) - p.theta)
     return float(out[()]) if scalar else out
 

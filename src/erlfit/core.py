@@ -20,24 +20,25 @@ a double can no longer hold 1 - K (T > 700) or K (K < 1e-300), the
 survival and the quantile use the leading term of the incomplete beta,
 (1-K)^b / (b B(a, b)) or K^a / (a B(a, b)), in log space.
 
-Raw moments are fixed-order Gauss-Legendre quadrature of the quantile
-representation
+Raw moments are adaptive QUADPACK quadrature (Piessens et al., 1983,
+through scipy.integrate.quad) of the quantile representation
 
     E[X^r] = (1/B(a,b)) * int_0^1 Q(y)^r y^(a-1) (1-y)^(b-1) dy
 
-after the exact change of variables y = K(theta (v - 1)), which turns
-the integrand into  theta^r (v-1)^r (1-e^(-T))^(a-1) e^(-b T) beta lam
-v^(2 lam - 1)  on v in (0, inf) with T = (beta/2) v^(2 lam) --- smooth
-and exponentially damped, so a fixed rule converges fast.  A 256- vs
-512-node comparison guards every moment; disagreement raises
-NumericalError instead of returning a silently wrong number.
+split at the median of K, where _tail splits too.  Below it the
+variable is y = K, with the y^(a-1) singularity of a < 1 taken by the
+algebraic weight of QAWS; above it the variable is T = -ln(1 - y) on
+(ln 2, inf), where the integrand theta^r (v-1)^r (1-e^(-T))^(a-1)
+e^(-b T) is exponentially damped and (1-y)^(b-1) leaves no endpoint
+singularity even for b < 1.  A QUADPACK failure, a non-finite sum or an
+integrand beyond the doubles raises NumericalError instead of returning
+a silently wrong number.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import integrate, special
@@ -45,6 +46,7 @@ from scipy import integrate, special
 from .baseline import (
     BaselineParams,
     _exponent,
+    _log_exponent,
     _log_k_plus_t,
     _quantile_v,
     _transform,
@@ -52,11 +54,6 @@ from .baseline import (
 )
 from .errors import NumericalError
 from .specfun import _log_beta, inv_reg_inc_beta, log_beta, reg_inc_beta
-
-_MOMENT_NODES = 256
-_MOMENT_NODES_CHECK = 512
-_MOMENT_RTOL = 1e-7
-
 
 @dataclass(frozen=True)
 class ErlParams:
@@ -107,21 +104,21 @@ def erl_pdf(x, p: ErlParams):
 def erl_cdf(x, p: ErlParams):
     """G(x) = I_{K(x)}(a, b), in full relative precision (see _tail)."""
     scalar = np.ndim(x) == 0
-    _v, t = _transform(x, p.base.theta, p.base.lam, p.base.beta)
-    out = _tail(t, p, survival=False)
+    v, t = _transform(x, p.base.theta, p.base.lam, p.base.beta)
+    out = _tail(v, t, p, survival=False)
     return float(out[()]) if scalar else out
 
 
 def erl_survival(x, p: ErlParams):
     """1 - G(x) = I_{1-K(x)}(b, a), in full relative precision (see _tail)."""
     scalar = np.ndim(x) == 0
-    _v, t = _transform(x, p.base.theta, p.base.lam, p.base.beta)
-    out = _tail(t, p, survival=True)
+    v, t = _transform(x, p.base.theta, p.base.lam, p.base.beta)
+    out = _tail(v, t, p, survival=True)
     return float(out[()]) if scalar else out
 
 
-def _tail(t, p: ErlParams, survival: bool) -> np.ndarray:
-    """G, or with survival 1 - G, at T, where K = 1 - exp(-T).
+def _tail(v, t, p: ErlParams, survival: bool) -> np.ndarray:
+    """G, or with survival 1 - G, at v and its T, where K = 1 - exp(-T).
 
     Each side comes from the regularized incomplete beta or from its
     complement betaincc, whichever gives it without cancellation.  Up to
@@ -131,21 +128,28 @@ def _tail(t, p: ErlParams, survival: bool) -> np.ndarray:
     1 - G = I_{1-K}(b, a).  exp(-T) underflows from T = 745 on while the
     survival can still be large at small b; from T = 700 on the survival
     is the leading term (1-K)^b / (b B(a, b)) = exp(-bT - ln b - ln B(a, b))
-    in doubles, and G = 1 - survival.
+    in doubles, and G = 1 - survival.  Below T = 1e-300, K = T loses its
+    digits to the subnormals; there G is the leading term K^a / (a B(a, b))
+    = exp(a ln T - ln a - ln B(a, b)), with ln T taken from v.
     """
     t = np.asarray(t, dtype=np.float64)
     big_k = -np.expm1(-t)
-    lower = big_k <= 0.5
+    tiny = t < 1e-300
+    lower = (big_k <= 0.5) & ~tiny
     deep = t > 700.0
-    upper = ~(lower | deep)
+    upper = ~(lower | deep | tiny)
     of_k, of_one_minus_k = special.betainc, special.betaincc
     if survival:
         of_k, of_one_minus_k = of_one_minus_k, of_k
     out = np.empty(t.shape)
     out[lower] = of_k(p.a, p.b, big_k[lower])
     out[upper] = of_one_minus_k(p.b, p.a, np.exp(-t[upper]))
-    deep_survival = np.exp(-(p.b * t[deep] + math.log(p.b) + log_beta(p.a, p.b)))
+    log_b = log_beta(p.a, p.b)
+    deep_survival = np.exp(-(p.b * t[deep] + math.log(p.b) + log_b))
     out[deep] = deep_survival if survival else 1.0 - deep_survival
+    log_t = _log_exponent(np.asarray(v)[tiny], p.base.lam, p.base.beta)
+    tiny_cdf = np.exp(p.a * log_t - math.log(p.a) - log_b)
+    out[tiny] = 1.0 - tiny_cdf if survival else tiny_cdf
     return out
 
 
@@ -182,7 +186,7 @@ def erl_quantile(prob, p: ErlParams):
         raise ValueError("erl_quantile requires prob in [0, 1]")
     upper = pa > reg_inc_beta(0.5, p.a, p.b)
     t = np.empty_like(pa)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         t[~upper] = -np.log1p(-np.asarray(inv_reg_inc_beta(pa[~upper], p.a, p.b)))
         t[upper] = -np.log(special.betainccinv(p.b, p.a, pa[upper]))
         # betainccinv stops at the smallest normal double (T = 708.4) once
@@ -210,59 +214,55 @@ def erl_sample(n: int, p: ErlParams, seed) -> np.ndarray:
     return erl_quantile(np.random.default_rng(seed).random(int(n)), p)
 
 
-@lru_cache(maxsize=8)
-def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
-
-
-def _moment_upper_limit(r: int, p: ErlParams) -> float:
-    # pick T so the tail of t^(growth) e^(-b t) is below ~1e-24 of the bulk
-    growth = r / (2.0 * p.base.lam) + 1.0
-    t = 60.0 / p.b
-    for _ in range(40):
-        t = (60.0 + growth * math.log1p(t)) / p.b
-    return (2.0 * t / p.base.beta) ** (0.5 / p.base.lam)
-
-
-def _moment_quad(r: int, p: ErlParams, n_nodes: int, v_max: float) -> float:
-    nodes, weights = _leggauss(n_nodes)
-    v = 0.5 * v_max * (nodes + 1.0)
-    w = 0.5 * v_max * weights
-    t = _exponent(v, p.base.lam, p.base.beta)
-    with np.errstate(divide="ignore", over="ignore"):
-        log_weight = (
-            (p.a - 1.0) * np.log(-np.expm1(-t))
-            - p.b * t
-            + (2.0 * p.base.lam - 1.0) * np.log(v)
-        )
-        vals = (v - 1.0) ** r * np.exp(log_weight)
-    scale = p.base.theta**r * p.base.beta * p.base.lam * math.exp(-log_beta(p.a, p.b))
-    return scale * float(np.dot(w, vals))
-
-
 def erl_raw_moment(r: int, p: ErlParams) -> float:
-    """r-th raw moment E[X^r] by fixed-order Gauss-Legendre quadrature.
+    """r-th raw moment E[X^r] by adaptive quadrature (see the module
+    docstring), asking QUADPACK for 1e-10 relative error in each half.
 
-    Runs the rule at 256 and 512 nodes; if the two disagree beyond
-    1e-7 * max(1, |value|) the quadrature has not converged (heavy-tail
-    or near-singular parameter corner) and NumericalError is raised.
+    Raises NumericalError where QUADPACK reports that it failed, where
+    the integrand overflows a double (at a moment too large for one), or
+    where the sum is not finite.
     """
     if not isinstance(r, (int, np.integer)) or r < 0:
         raise ValueError("moment order r must be a nonnegative integer")
     r = int(r)
     if r == 0:
         return 1.0
-    v_max = _moment_upper_limit(r, p)
-    coarse = _moment_quad(r, p, _MOMENT_NODES, v_max)
-    fine = _moment_quad(r, p, _MOMENT_NODES_CHECK, v_max)
-    if not (math.isfinite(coarse) and math.isfinite(fine)):
-        raise NumericalError(f"raw moment r={r}: quadrature produced non-finite values")
-    if abs(fine - coarse) > _MOMENT_RTOL * max(1.0, abs(fine)):
-        raise NumericalError(
-            f"raw moment r={r}: 256- vs 512-node quadrature disagree "
-            f"({coarse:.6e} vs {fine:.6e}); moment not numerically trustworthy"
+    a, b, theta, lam, beta = p.values()
+    lnb = log_beta(a, b)
+    # the weight takes y^(a-1) only where it is singular: for large a its
+    # moments lose accuracy unflagged (1e-3 at a = 69, b = 200)
+    alpha = min(a, 1.0) - 1.0
+
+    def term(t, log_weight):
+        # x^r exp(log_weight) / B(a, b) at T = t, in floats, whose ** and
+        # math.exp raise OverflowError
+        return (theta * (_v_at(t, lam, beta) - 1.0)) ** r * math.exp(log_weight - lnb)
+
+    def lower(y):
+        if y == 0.0:
+            # QAWS evaluates the end point, where y^(a-1-alpha) is 0 for a > 1
+            return 0.0 if a > 1.0 else term(0.0, 0.0)
+        return term(-math.log1p(-y), (a - 1.0 - alpha) * math.log(y) + (b - 1.0) * math.log1p(-y))
+
+    def upper(t):
+        return term(t, (a - 1.0) * math.log(-math.expm1(-t)) - b * t)
+
+    quad_args = {"epsabs": 0.0, "epsrel": 1e-10, "limit": 500, "full_output": 1}
+    try:
+        halves = (
+            integrate.quad(lower, 0.0, 0.5, weight="alg", wvar=(alpha, 0.0), **quad_args),
+            integrate.quad(upper, math.log(2.0), math.inf, **quad_args),
         )
-    return fine
+    except OverflowError:
+        raise NumericalError(f"raw moment r={r}: the integrand overflows a double") from None
+    for half in halves:
+        # full_output appends QUADPACK's message when it reports a failure
+        if len(half) > 3:
+            raise NumericalError(f"raw moment r={r}: QUADPACK: {half[3].splitlines()[0]}")
+    total = halves[0][0] + halves[1][0]
+    if not math.isfinite(total):
+        raise NumericalError(f"raw moment r={r}: quadrature gave {total}")
+    return total
 
 
 def central_from_raw(raw) -> tuple[float, float, float, float]:

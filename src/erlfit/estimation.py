@@ -39,8 +39,7 @@ with fewer free parameters when that fit is final, and a model's polish
 when its last start has finished.  Since a kernel row does not depend
 on the batch it is evaluated in, and each model's runs are reduced in
 its own start order, each model's fit is exactly the one it gets alone;
-fit_mle is fit_ladder of one model, and fit_level of models that share
-one k.
+fit_mle is fit_ladder of one model.
 
 Standard errors come from a centered finite-difference Hessian in the
 original parameterization, its whole stencil evaluated in one kernel
@@ -391,20 +390,6 @@ def fit_ladder(
         join=join,
     )
     return fits
-
-
-def fit_level(
-    specs: Sequence[ModelSpec],
-    data: Dataset,
-    cfg: FitConfig = FitConfig(),
-    *,
-    extra_starts: Optional[Sequence[ErlParams]] = None,
-) -> list[FitResult]:
-    """fit_ladder of specs that share one number of free parameters (a
-    level), so that none warm-starts another."""
-    if any(spec.free_count != specs[0].free_count for spec in specs):
-        raise ValueError("fit_level needs specs with one number of free parameters")
-    return fit_ladder(specs, data, cfg, extra_starts=extra_starts)
 
 
 def fit_mle(

@@ -8,6 +8,7 @@ numerics refused to produce a trustworthy answer.
 
 import json
 import math
+import warnings
 
 import jsonschema
 import numpy as np
@@ -311,6 +312,16 @@ class TestCurves:
         assert len(cells) == 5
         assert float(cells[4]) == pytest.approx(1.0, abs=1e-5)
 
+    def test_quantiles_beyond_the_doubles_stay_quiet(self, tmp_path, capsys):
+        # at lam = 0.0017 most grid quantiles exceed the doubles; pytest
+        # records warnings instead of printing them, so raise them here
+        out = tmp_path / "curves.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["curves", "--params", "0.98438,0.047210,1.0,0.0016740,0.026589",
+                         "--output", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestMoments:
     def test_json_report(self, tmp_path):
@@ -341,10 +352,16 @@ class TestMoments:
         assert float(table["raw.1"]) == pytest.approx(0.5, abs=1e-5)
 
     def test_untrustworthy_moment_exits_three(self, capsys):
-        assert main(["moments", "--params", "1,1,1,0.05,1"]) == 3
+        assert main(["moments", "--params", "1,1,1,0.002,1"]) == 3
         err = capsys.readouterr().err
         assert "erlfit: numerical error" in err
-        assert "quadrature disagree" in err
+        assert "integrand overflows a double" in err
+
+    def test_bundled_law(self, tmp_path):
+        out = tmp_path / "m.json"
+        assert main(["moments", "--params", "0.801,5.5,0.025,0.113,0.501",
+                     "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["mean"] == pytest.approx(0.164735, rel=1e-5)
 
     def test_stdout_when_no_output_given(self, capsys):
         assert main(["moments", "--params", POWER_PARAMS]) == 0

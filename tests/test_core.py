@@ -8,12 +8,19 @@ remaining oracles.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from erlfit.baseline import BaselineParams, baseline_cdf, baseline_pdf, baseline_sample
+from erlfit.baseline import (
+    BaselineParams,
+    baseline_cdf,
+    baseline_moment_series,
+    baseline_pdf,
+    baseline_sample,
+)
 from erlfit.core import (
     ErlParams,
     erl_cdf,
@@ -30,6 +37,7 @@ from erlfit.core import (
     erl_survival,
     normalization_check,
 )
+from erlfit.datasets import SYNTHETIC_PARAMS
 from erlfit.errors import NumericalError
 
 EXP_BASE = BaselineParams(theta=1.0, lam=0.5, beta=2.0)
@@ -60,14 +68,14 @@ SMALL_A_POINT = ErlParams(0.01, 5.0, BaselineParams(1.0, 100.0, 1.0))
 # double, while T = (beta/2) v^(2 lam) = 3.4e-321 is still one
 HIGH_POWER_POINT = ErlParams(0.5, 881078.3, BaselineParams(0.93076, 147.99, 9.1647e7))
 
-# sets where the fixed-order quadrature accepts; the lam=0.8 member of
-# MIXED_SETS makes it refuse, which test_untrustworthy_quadrature_raises
-# covers on its own
 MOMENT_SETS = [
     MIXED_SETS[0],
     MIXED_SETS[2],
     MIXED_SETS[3],
     ErlParams(0.7, 1.8, BaselineParams(2.0, 1.2, 0.5)),
+    MIXED_SETS[1],
+    # the law the bundled data was drawn from
+    ErlParams.from_values(**SYNTHETIC_PARAMS),
 ]
 
 
@@ -128,6 +136,12 @@ class TestCdf:
         x = -0.85828
         assert erl_cdf(x, HIGH_POWER_POINT) == pytest.approx(6.1787793558442212e-158, rel=1e-3)
         assert erl_pdf(x, HIGH_POWER_POINT) == pytest.approx(1.2615860332110741e-154, rel=1e-3)
+
+    def test_exponent_below_subnormals(self):
+        # x is mpmath's quantile at 1e-4 (see test_small_a_against_mpmath);
+        # T = e^-923 there is below even the subnormals
+        assert erl_cdf(-0.9900689167813681404, SMALL_A_POINT) == pytest.approx(1e-4, rel=1e-12)
+        assert erl_survival(-0.9900689167813681404, SMALL_A_POINT) == pytest.approx(0.9999, rel=1e-15)
 
     @pytest.mark.parametrize("p", MIXED_SETS)
     def test_monotone_within_unit_interval(self, p):
@@ -237,6 +251,13 @@ class TestQuantile:
         x_ref = -0.9900689167813681404
         assert erl_quantile(1e-4, SMALL_A_POINT) == pytest.approx(x_ref, rel=1e-12)
 
+    def test_beyond_the_doubles_is_inf_without_warning(self):
+        # lam = 0.0017: the quantile at 0.368 is about 10^1400
+        p = ErlParams.from_values(0.98438, 0.047210, 1.0, 0.0016740, 0.026589)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert erl_quantile(0.368, p) == math.inf
+
 
 class TestSample:
     def test_deterministic_per_seed(self):
@@ -305,8 +326,31 @@ class TestMoments:
             se = float(np.std(x**r, ddof=1)) / math.sqrt(x.size)
             assert abs(erl_raw_moment(r, p) - mc) <= 4.0 * se
 
+    def test_heavy_tail_mean_matches_closed_form(self):
+        # at a = b = 1 the mean is 2^10 10! - 1 = 3,715,891,199
+        base = BaselineParams(1.0, 0.05, 1.0)
+        series = baseline_moment_series(1, base)
+        assert erl_raw_moment(1, ErlParams(1.0, 1.0, base)) == pytest.approx(series, rel=1e-10)
+
+    def test_large_a_against_mpmath(self):
+        # mpmath at 40 digits, over y = K between beta quantiles; with
+        # y^(a-1) in QUADPACK's weight at a = 70 the mean was 4% off, unflagged
+        p = ErlParams(70.0, 200.0, BaselineParams(0.12, 1.25, 10.0))
+        assert erl_raw_moment(1, p) == pytest.approx(-0.081084086980798545, rel=1e-10)
+
+    def test_refuses_rather_than_misses(self):
+        # compare's ERLD estimate on the bundled data; mpmath at 30 digits
+        # gives 1.637479533060849e33, and the sum QUADPACK flags is 2.8e-5 off
+        p = ErlParams(1.07e13, 0.00126, BaselineParams(0.025, 0.113, 0.5))
+        try:
+            got = erl_raw_moment(2, p)
+        except NumericalError:
+            return
+        assert got == pytest.approx(1.637479533060849e33, rel=1e-9)
+
     def test_untrustworthy_quadrature_raises(self):
-        heavy = ErlParams(1.0, 1.0, BaselineParams(1.0, 0.05, 1.0))
+        # E[X] is about 5.8e567 here, which no double holds
+        heavy = ErlParams(1.0, 1.0, BaselineParams(1.0, 0.002, 1.0))
         with pytest.raises(NumericalError):
             erl_raw_moment(1, heavy)
 

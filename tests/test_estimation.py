@@ -24,7 +24,7 @@ from erlfit.estimation import (
     _nelder_mead,
     _nll,
     _objective,
-    fit_level,
+    fit_ladder,
     fit_mle,
     nll,
     score_ab,
@@ -376,7 +376,7 @@ class TestLevels:
         data = load_synthetic()
         cfg = FitConfig(seed=seed)
         specs = [get_model(name) for name in LEVEL_4]
-        level = fit_level(specs, data, cfg)
+        level = fit_ladder(specs, data, cfg)
         assert [fit.spec for fit in level] == specs
         for fit, spec in zip(level, specs):
             assert self.same_fit(fit, fit_mle(spec, data, cfg))
@@ -414,10 +414,6 @@ class TestLevels:
         run_compare(load_synthetic(), specs, FitConfig(seed=0))
         assert rows == 162_715
         assert calls <= 7_240
-
-    def test_level_needs_one_free_count(self):
-        with pytest.raises(ValueError):
-            fit_level([get_model("RLD"), get_model("ERLD")], load_synthetic())
 
 
 class TestStandardErrors:
