@@ -7,14 +7,13 @@ is
     K(x) = 1 - exp(-(beta / 2) * v**(2 * lam))
 
 so T = (beta / 2) * v**(2*lam) is a unit exponential variate and every
-closed form below follows from that transform.  _transform, _exponent,
-_log_exponent, _log_k_plus_t and _log_transform are the only code in the
-package that forms v and T.  The family's functions call the first
-four on raw floats; the likelihood kernel calls _log_transform on
-parameter columns, one per row of its (rows, n) arrays.  Both take T as
-exp(2 lam ln v + ln(beta / 2)), which stays a double wherever T is one,
-and the kernel reuses the ln v it needs anyway.  At theta = 1,
-lam = 0.5, beta = 2 the law collapses to a unit
+closed form below follows from that transform.  _log_transform is the
+one function that forms ln v, T and ln K = ln(1 - e^-T) at data x: the
+family's functions call it on raw floats and the likelihood kernel on
+parameter columns, one per row of its (rows, n) arrays.  T is
+exp(2 lam ln v + ln(beta / 2)), with ln T from _log_exponent, which
+stays a double wherever T is one and reuses the ln v the density needs
+anyway.  At theta = 1, lam = 0.5, beta = 2 the law collapses to a unit
 exponential shifted to start at -1, which the tests lean on heavily.
 """
 
@@ -43,60 +42,53 @@ class BaselineParams:
                 raise ValueError(f"BaselineParams.{name} must be a finite positive number")
 
 
-def _transform(x, theta, lam, beta):
-    """(v, T) at x: v = (theta + x) / theta, clipped to 0 outside the
-    support, and T = _exponent(v, lam, beta), which is 0 there."""
-    # fmax, unlike maximum, also sends NaN x to v = 0, off the support
-    v = np.fmax((theta + np.asarray(x, dtype=np.float64)) / theta, 0.0)
-    return v, _exponent(v, lam, beta)
-
-
-def _log_transform(x, theta, lam, beta, out):
-    """(ln v, T) at x, written into out[0] and out[1]: the likelihood
-    kernel's form of _transform, in which T is
-    exp(2 lam ln v + ln(beta / 2)), reusing ln v instead of a power.
+def _log_transform(x, theta, lam, beta, out=None):
+    """(ln v, T, ln K) at x, in the rows of out if given, where
+    v = (theta + x) / theta, T = exp(_log_exponent) and K = 1 - e^-T.
+    x broadcasts against the parameters (the kernel's are columns).
 
     v stays (theta + x) / theta: near the support shift theta + x is
     exact, while x / theta rounds and log1p(x / theta) would lose most
-    digits of the smallest v.  Off the support ln v is NaN or -inf; the
-    caller sets np.errstate.
+    digits of the smallest v.  Off the support (NaN x too) v is 0, so
+    ln v and ln K are -inf and T is 0 there.
     """
-    log_v, t = out
-    np.add(theta, x, out=log_v)
-    np.divide(log_v, theta, out=log_v)
-    np.log(log_v, out=log_v)
-    np.multiply(2.0 * lam, log_v, out=t)
-    np.add(t, np.log(0.5 * beta), out=t)
-    np.exp(t, out=t)
-    return log_v, t
+    x = np.asarray(x, dtype=np.float64)
+    if out is None:
+        out = np.empty((3,) + np.broadcast(x, theta, lam, beta).shape)
+    # out[i, ...] rather than out[i], so a scalar x still gets 0-d arrays
+    log_v, t, log_k = out[0, ...], out[1, ...], out[2, ...]
+    with np.errstate(divide="ignore", over="ignore"):
+        np.add(theta, x, out=log_v)
+        np.divide(log_v, theta, out=log_v)
+        # fmax, unlike maximum, also sends NaN x to v = 0
+        np.fmax(log_v, 0.0, out=log_v)
+        np.log(log_v, out=log_v)
+        _log_exponent(log_v, lam, beta, out=t)
+        np.exp(t, out=t)
+        np.negative(t, out=log_k)
+        np.expm1(log_k, out=log_k)
+        np.negative(log_k, out=log_k)
+        np.log(log_k, out=log_k)
+    return log_v, t, log_k
 
 
-def _exponent(v, lam, beta):
-    """T = (beta / 2) v^(2 lam), the unit-exponential transform, as
-    exp(2 lam ln v + ln(beta / 2)), the form _log_transform takes: T is
-    a double wherever it can be, even where v^(2 lam) alone would leave
-    the double range.  0 at v = 0."""
-    with np.errstate(over="ignore"):
-        return np.exp(_log_exponent(v, lam, beta))
+def _log_exponent(log_v, lam, beta, out=None):
+    """ln T = 2 lam ln v + ln(beta / 2): its exp is a double wherever T is
+    one, even where v^(2 lam) alone is not, and ln T itself keeps full
+    precision where T is subnormal or 0.  -inf at v = 0."""
+    return np.add(np.multiply(2.0 * lam, log_v, out=out), np.log(0.5 * beta), out=out)
 
 
-def _log_exponent(v, lam, beta):
-    """ln T at v, in full precision where T itself is subnormal or 0;
-    -inf at v = 0."""
-    with np.errstate(divide="ignore"):
-        return 2.0 * lam * np.log(v) + np.log(0.5 * beta)
-
-
-def _log_k_plus_t(v, theta, lam, beta):
-    """ln k + T at v > 0: the log density without its -T term."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return math.log(beta * lam / theta) + (2.0 * lam - 1.0) * np.log(v)
+def _log_k_plus_t(log_v, theta, lam, beta):
+    """ln k + T at ln v > -inf: the log density without its -T term."""
+    with np.errstate(invalid="ignore"):
+        return math.log(beta * lam / theta) + (2.0 * lam - 1.0) * log_v
 
 
 def baseline_cdf(x, p: BaselineParams):
     """K(x); 0 at and below -theta."""
     scalar = np.ndim(x) == 0
-    _v, t = _transform(x, p.theta, p.lam, p.beta)
+    _log_v, t, _log_k = _log_transform(x, p.theta, p.lam, p.beta)
     out = -np.expm1(-t)
     return float(out[()]) if scalar else out
 
@@ -104,16 +96,17 @@ def baseline_cdf(x, p: BaselineParams):
 def baseline_pdf(x, p: BaselineParams):
     """Density k(x) = (beta lam / theta) v**(2 lam - 1) exp(-T); 0 outside."""
     scalar = np.ndim(x) == 0
-    v, t = _transform(x, p.theta, p.lam, p.beta)
+    log_v, t, _log_k = _log_transform(x, p.theta, p.lam, p.beta)
     with np.errstate(invalid="ignore"):
-        out = np.where(v > 0.0, np.exp(_log_k_plus_t(v, p.theta, p.lam, p.beta) - t), 0.0)
+        log_pdf = _log_k_plus_t(log_v, p.theta, p.lam, p.beta) - t
+        out = np.where(log_v > -np.inf, np.exp(log_pdf), 0.0)
     return float(out[()]) if scalar else out
 
 
 def _v_at(t, lam, beta):
-    """The inverse of _exponent: v at which T takes the value t.  Beyond
-    the doubles (small lam) an array gives +inf, under the caller's
-    np.errstate, and a Python float raises OverflowError."""
+    """The inverse of the transform's T: v at which T takes the value t.
+    Beyond the doubles (small lam) an array gives +inf, under the
+    caller's np.errstate, and a Python float raises OverflowError."""
     return ((2.0 / beta) * t) ** (0.5 / lam)
 
 

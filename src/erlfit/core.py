@@ -6,17 +6,17 @@ K and k the baseline cdf/pdf and B(a, b) the beta function,
     g(x) = K(x)**(a-1) * (1 - K(x))**(b-1) * k(x) / B(a, b)
     G(x) = I_{K(x)}(a, b)
 
-on the support x > -theta.  Every function takes v = (theta + x)/theta
-and T = (beta/2) v^(2 lam) from the baseline module, which alone forms
-them.  Densities are assembled in log space, on float parameters; the
-likelihood kernel in estimation needs only three sums over the data and
-does not call them.  The cdf and the survival each come from the
-incomplete beta or its complement, from K below the median of K and
-from 1 - K = exp(-T) above it, so neither suffers the cancellation of
-one minus the other.  The quantile inverts I_K(a, b) for K
-below I_{1/2}(a, b) and the complementary I_{1-K}(b, a) above it,
-so T = -ln(1 - K) stays finite after K itself would round to 1.  Where
-a double can no longer hold 1 - K (T > 700) or K (K < 1e-300), the
+on the support x > -theta.  The pdf, cdf and survival take ln v, T and
+ln K, with v = (theta + x)/theta, T = (beta/2) v^(2 lam) and
+K = 1 - e^-T, from baseline._log_transform, as the likelihood kernel in
+estimation does.  Densities are assembled in log space, on float
+parameters.  The cdf and the survival each come from the incomplete
+beta or its complement, from K below the median of K and from
+1 - K = exp(-T) above it, so neither suffers the cancellation of one
+minus the other.  The quantile inverts I_K(a, b) for K below
+I_{1/2}(a, b) and the complementary I_{1-K}(b, a) above it, so
+T = -ln(1 - K) stays finite after K itself would round to 1.  Where a
+double can no longer hold 1 - K (T > 700) or K (K < 1e-300), the
 survival and the quantile use the leading term of the incomplete beta,
 (1-K)^b / (b B(a, b)) or K^a / (a B(a, b)), in log space.
 
@@ -45,11 +45,10 @@ from scipy import integrate, special
 
 from .baseline import (
     BaselineParams,
-    _exponent,
     _log_exponent,
     _log_k_plus_t,
+    _log_transform,
     _quantile_v,
-    _transform,
     _v_at,
 )
 from .errors import NumericalError
@@ -78,47 +77,41 @@ class ErlParams:
         return (self.a, self.b, self.base.theta, self.base.lam, self.base.beta)
 
 
-def _log_density_v(v, t, a, b, theta, lam, beta):
-    """ln g at v = (theta + x)/theta > 0 and its T, for float parameters,
-    grouped so the tail exponent -b*T forms before any inf products can
-    appear."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_big_k = np.log(-np.expm1(-t))
-        return (
-            (a - 1.0) * log_big_k
-            + _log_k_plus_t(v, theta, lam, beta)
-            - b * t
-            - _log_beta(a, b)
-        )
+def _log_density(log_v, t, log_k, a, b, theta, lam, beta):
+    """ln g from the transform (ln v, T, ln K) of x inside the support,
+    for float parameters, grouped so the tail exponent -b*T forms before
+    any inf products can appear."""
+    with np.errstate(invalid="ignore"):
+        return (a - 1.0) * log_k + _log_k_plus_t(log_v, theta, lam, beta) - b * t - _log_beta(a, b)
 
 
 def erl_pdf(x, p: ErlParams):
     """Density g(x); 0 at and outside the support boundary."""
     scalar = np.ndim(x) == 0
-    v, t = _transform(x, p.base.theta, p.base.lam, p.base.beta)
+    log_v, t, log_k = _log_transform(x, p.base.theta, p.base.lam, p.base.beta)
     with np.errstate(over="ignore"):
-        out = np.where(v > 0.0, np.exp(_log_density_v(v, t, *p.values())), 0.0)
+        out = np.where(log_v > -np.inf, np.exp(_log_density(log_v, t, log_k, *p.values())), 0.0)
     return float(out[()]) if scalar else out
 
 
 def erl_cdf(x, p: ErlParams):
     """G(x) = I_{K(x)}(a, b), in full relative precision (see _tail)."""
     scalar = np.ndim(x) == 0
-    v, t = _transform(x, p.base.theta, p.base.lam, p.base.beta)
-    out = _tail(v, t, p, survival=False)
+    log_v, t, _log_k = _log_transform(x, p.base.theta, p.base.lam, p.base.beta)
+    out = _tail(log_v, t, p, survival=False)
     return float(out[()]) if scalar else out
 
 
 def erl_survival(x, p: ErlParams):
     """1 - G(x) = I_{1-K(x)}(b, a), in full relative precision (see _tail)."""
     scalar = np.ndim(x) == 0
-    v, t = _transform(x, p.base.theta, p.base.lam, p.base.beta)
-    out = _tail(v, t, p, survival=True)
+    log_v, t, _log_k = _log_transform(x, p.base.theta, p.base.lam, p.base.beta)
+    out = _tail(log_v, t, p, survival=True)
     return float(out[()]) if scalar else out
 
 
-def _tail(v, t, p: ErlParams, survival: bool) -> np.ndarray:
-    """G, or with survival 1 - G, at v and its T, where K = 1 - exp(-T).
+def _tail(log_v, t, p: ErlParams, survival: bool) -> np.ndarray:
+    """G, or with survival 1 - G, at ln v and its T, where K = 1 - exp(-T).
 
     Each side comes from the regularized incomplete beta or from its
     complement betaincc, whichever gives it without cancellation.  Up to
@@ -130,9 +123,8 @@ def _tail(v, t, p: ErlParams, survival: bool) -> np.ndarray:
     is the leading term (1-K)^b / (b B(a, b)) = exp(-bT - ln b - ln B(a, b))
     in doubles, and G = 1 - survival.  Below T = 1e-300, K = T loses its
     digits to the subnormals; there G is the leading term K^a / (a B(a, b))
-    = exp(a ln T - ln a - ln B(a, b)), with ln T taken from v.
+    = exp(a ln T - ln a - ln B(a, b)), with ln T taken from ln v.
     """
-    t = np.asarray(t, dtype=np.float64)
     big_k = -np.expm1(-t)
     tiny = t < 1e-300
     lower = (big_k <= 0.5) & ~tiny
@@ -147,7 +139,7 @@ def _tail(v, t, p: ErlParams, survival: bool) -> np.ndarray:
     log_b = log_beta(p.a, p.b)
     deep_survival = np.exp(-(p.b * t[deep] + math.log(p.b) + log_b))
     out[deep] = deep_survival if survival else 1.0 - deep_survival
-    log_t = _log_exponent(np.asarray(v)[tiny], p.base.lam, p.base.beta)
+    log_t = _log_exponent(log_v[tiny], p.base.lam, p.base.beta)
     tiny_cdf = np.exp(p.a * log_t - math.log(p.a) - log_b)
     out[tiny] = 1.0 - tiny_cdf if survival else tiny_cdf
     return out
@@ -328,6 +320,8 @@ def normalization_check(p: ErlParams) -> float:
     singularities exactly.  The density is evaluated at v taken straight
     from the quantile transform (not reconstructed from a rounded x,
     which is unresolvable within one ulp of -theta for small theta*lam).
+    _log_transform starts from x, so the check forms T from that v's ln v
+    through _log_exponent and its ln K = ln(1 - e^-T) itself.
     """
     a, b = p.a, p.b
     lnb = log_beta(a, b)
@@ -336,10 +330,11 @@ def normalization_check(p: ErlParams) -> float:
         if u <= 0.0 or u >= 1.0:
             # 0/0 at the support ends; the continuous extension is 1/B(a,b)
             return math.exp(-lnb)
-        v = float(_quantile_v(u, p.base))
-        t = float(_exponent(v, p.base.lam, p.base.beta))
-        log_g = float(_log_density_v(v, t, *p.values()))
-        log_k = float(_log_k_plus_t(v, p.base.theta, p.base.lam, p.base.beta)) - t
+        with np.errstate(divide="ignore"):
+            log_v = np.log(_quantile_v(u, p.base))
+        t = float(np.exp(_log_exponent(log_v, p.base.lam, p.base.beta)))
+        log_g = float(_log_density(log_v, t, np.log(-np.expm1(-t)), *p.values()))
+        log_k = float(_log_k_plus_t(log_v, p.base.theta, p.base.lam, p.base.beta)) - t
         return math.exp(
             log_g - log_k - (a - 1.0) * math.log(u) - (b - 1.0) * math.log1p(-u)
         )

@@ -6,7 +6,8 @@ The log-likelihood depends on the data only through three sums,
         + (a - 1) sum ln(1 - e^-T_i) - b sum T_i - n ln B(a, b),
 
 so the kernel over rows of raw floats (a, b, theta, lam, beta) forms
-ln v and T once per point (baseline._log_transform), takes the three row
+ln v, T and ln(1 - e^-T) once per point (baseline._log_transform, as
+the pdf, cdf and survival do), takes the three row
 sums (_sums) and combines them with per-row scalars: _nll maps an (m, 5)
 array to m values, taking the rows in chunks of at most 2^14 doubles
 per (rows, n) temporary.  A row's value does not depend on the batch it
@@ -70,6 +71,8 @@ _CHUNK_DOUBLES = 16384
 # search box half-width in log-parameter space; e^30 ~ 1e13 comfortably
 # covers any realistic estimate while keeping the arithmetic trustworthy
 _Z_BOUND = 30.0
+_MAX_ITERS = 2000
+_FATOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,13 +100,11 @@ class FitConfig:
     """Multi-start search knobs; the seed pins every random restart."""
 
     starts: int = 20
-    max_iters: int = 2000
-    tol: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
-        if self.starts < 1 or self.max_iters < 1 or not self.tol > 0:
-            raise ValueError("FitConfig requires starts >= 1, max_iters >= 1, tol > 0")
+        if self.starts < 1:
+            raise ValueError("FitConfig requires starts >= 1")
 
 
 @dataclass(frozen=True)
@@ -160,16 +161,11 @@ def _nll(values: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _sums(x: np.ndarray, theta: np.ndarray, lam: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """(sum ln v, sum T, sum ln(1 - e^-T)) over x at each entry of theta,
     lam and beta, shape (m,): the data part of the log-likelihood, and
-    of the (a, b) score, as a (3, m) array.  The three (m, n) terms go
-    into one work array and are summed in one reduction.  The caller
-    sets np.errstate."""
+    of the (a, b) score, as a (3, m) array.  The transform writes its
+    three (m, n) terms into one work array, summed in one reduction.
+    The caller sets np.errstate for the sums."""
     work = np.empty((3, theta.size, x.size))
-    _log_transform(x, theta[:, None], lam[:, None], beta[:, None], out=work[:2])
-    t, log_big_k = work[1], work[2]
-    np.negative(t, out=log_big_k)
-    np.expm1(log_big_k, out=log_big_k)
-    np.negative(log_big_k, out=log_big_k)
-    np.log(log_big_k, out=log_big_k)
+    _log_transform(x, theta[:, None], lam[:, None], beta[:, None], out=work)
     return np.add.reduce(work, axis=2)
 
 
@@ -183,7 +179,7 @@ def score_ab(params: ErlParams, data: Dataset) -> tuple[float, float]:
     _a, _b, theta, lam, beta = params.values()
     if data.values[0] <= -theta:
         raise ValueError("score_ab requires every point inside the support")
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(over="ignore"):
         _sum_log_v, sum_t, sum_log_k = _sums(
             data.values, np.array([theta]), np.array([lam]), np.array([beta])
         )
@@ -385,8 +381,8 @@ def fit_ladder(
     _nelder_mead(
         lambda z, starts: objective(z, owners[starts]),
         launch(candidates),
-        cfg.max_iters,
-        cfg.tol,
+        _MAX_ITERS,
+        _FATOL,
         join=join,
     )
     return fits

@@ -1,0 +1,77 @@
+"""Write a fixed set of CLI reports into one directory.
+
+Each report is what ``erlfit.cli.main`` writes for one command line,
+run in-process; ``exit_codes.txt`` lists every command line with its
+exit status.  Two checkouts give byte-identical directories exactly
+when their reports agree, so comparing two commits is one ``diff -rq``:
+
+    python3 tools/report_snapshot.py snap_new
+    python3 /path/to/other/checkout/tools/report_snapshot.py snap_old
+    diff -rq snap_old snap_new
+
+The package is imported from this checkout's ``src``, whatever is
+installed.  The two n = 2000 fit inputs come from ``perfbench/inputs.py``,
+which draws with numpy and scipy only, so they do not depend on erlfit's
+own sampler.
+"""
+
+from __future__ import annotations
+
+import argparse
+import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from erlfit.cli import main as erlfit_main  # noqa: E402
+from erlfit.datasets import SYNTHETIC_PARAMS, synthetic_path  # noqa: E402
+from perfbench.inputs import draw, write_values  # noqa: E402
+
+FIT_POINT = (2.0, 1.5, 1.0, 1.0, 1.0)
+PARAM_SETS = {
+    "p1": "2,1.5,1,1,1",
+    "p2": "3,0.7,2,1.2,0.5",
+    "bundled": ",".join(str(SYNTHETIC_PARAMS[k]) for k in ("a", "b", "theta", "lam", "beta")),
+}
+
+
+def runs(out: pathlib.Path) -> list[tuple[str, list[str]]]:
+    """(report file name, erlfit arguments) of every report."""
+    sample = synthetic_path()
+    todo = [
+        ("compare_seed0.json", ["compare", "--input", sample, "--seed", "0"]),
+        ("compare_seed3.csv", ["compare", "--input", sample, "--seed", "3", "--format", "csv"]),
+        ("gof_erld.json", ["gof", "--input", sample, "--models", "ERLD"]),
+        ("gof_params.json", ["gof", "--input", sample, "--params", "2,1.5,1,1,1"]),
+    ]
+    for seed in (0, 1):
+        path = out / f"input_n2000_seed{seed}.txt"
+        write_values(path, draw(FIT_POINT, 2000, seed))
+        todo.append((f"fit_n2000_seed{seed}.json", ["fit", "--input", str(path), "--models", "ERLD"]))
+    for label, params in PARAM_SETS.items():
+        todo += [
+            (f"curves_{label}.json", ["curves", "--params", params]),
+            (f"moments_{label}.json", ["moments", "--params", params]),
+            (f"sample_{label}.json", ["sample", "--params", params, "--n", "100000", "--seed", "7"]),
+        ]
+    return todo
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out_dir", help="directory to write the reports into (created if missing)")
+    out = pathlib.Path(parser.parse_args().out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    lines = []
+    for name, argv in runs(out):
+        code = erlfit_main([*argv, "--output", str(out / name)])
+        # the input paths differ between checkouts; the file names do not
+        shown = [pathlib.Path(arg).name if pathlib.Path(arg).is_file() else arg for arg in argv]
+        lines.append(f"{code} {name}: erlfit {' '.join(shown)}\n")
+        print(lines[-1], end="")
+    (out / "exit_codes.txt").write_text("".join(lines))
+
+
+if __name__ == "__main__":
+    main()
