@@ -44,6 +44,8 @@ from .gof import gof_report, info_criteria, sample_kurtosis, sample_skewness
 from .submodels import DEFAULT_COMPARE, PARAM_LABELS, ModelSpec, get_model
 
 PARAM_FLAG_ORDER = ("a", "b", "theta", "lambda", "beta")
+# floats formatted per join when a report writes a list of them
+_BLOCK = 4096
 
 # documented shape of fit/compare reports (JSON Schema draft 2020-12)
 REPORT_SCHEMA = {
@@ -267,15 +269,52 @@ def _params_dict(params: ErlParams) -> dict:
     return {"a": a, "b": b, "theta": theta, "lambda": lam, "beta": beta}
 
 
-def _sanitize(obj):
-    """Replace non-finite floats with None so the JSON stays strict."""
+def _float_blocks(values, sep: str, null: str):
+    """float.__repr__ of every value, joined by sep, as one string per
+    _BLOCK values with sep yielded between them; a non-finite value is
+    written as null."""
+    for start in range(0, len(values), _BLOCK):
+        block = values[start:start + _BLOCK]
+        if start:
+            yield sep
+        if all(map(math.isfinite, block)):
+            yield sep.join(map(float.__repr__, block))
+        else:
+            yield sep.join(float.__repr__(v) if math.isfinite(v) else null for v in block)
+
+
+def _json_chunks(obj, pad: str = ""):
+    """The text of json.dumps(obj, indent=2, allow_nan=False), in pieces,
+    with every non-finite float written as null.  Dict keys are str.
+    A list or tuple of plain floats goes through _float_blocks."""
+    inner = pad + "  "
     if isinstance(obj, dict):
-        return {key: _sanitize(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(item) for item in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    return obj
+        if not obj:
+            yield "{}"
+            return
+        sep = "{\n" + inner
+        for key, value in obj.items():
+            yield sep + json.dumps(key) + ": "
+            yield from _json_chunks(value, inner)
+            sep = ",\n" + inner
+        yield "\n" + pad + "}"
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            yield "[]"
+            return
+        yield "[\n" + inner
+        if all(type(item) is float for item in obj):
+            yield from _float_blocks(obj, ",\n" + inner, "null")
+        else:
+            for i, item in enumerate(obj):
+                if i:
+                    yield ",\n" + inner
+                yield from _json_chunks(item, inner)
+        yield "\n" + pad + "]"
+    elif isinstance(obj, float) and not math.isfinite(obj):
+        yield "null"
+    else:
+        yield json.dumps(obj)
 
 
 def _format_number(value) -> str:
@@ -336,20 +375,17 @@ def _pairs_csv(report: dict, skip=("params",)) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sample_csv(report: dict) -> str:
-    return "\n".join(f"{v!r}" for v in report["values"]) + "\n"
-
-
-def _to_text(command: str, report: dict, fmt: str) -> str:
+def _to_chunks(command: str, report: dict, fmt: str) -> list[str]:
+    """The whole report text, as pieces to write in order."""
     if fmt == "json":
-        return json.dumps(_sanitize(report), indent=2, allow_nan=False) + "\n"
+        return [*_json_chunks(report), "\n"]
     if command in ("fit", "compare"):
-        return _report_csv(report)
+        return [_report_csv(report)]
     if command == "curves":
-        return _curves_csv(report)
+        return [_curves_csv(report)]
     if command == "sample":
-        return _sample_csv(report)
-    return _pairs_csv(report)
+        return [*_float_blocks(report["values"], "\n", "NA"), "\n"]
+    return [_pairs_csv(report)]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -452,12 +488,12 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict, bool]:
     return run_moments(params), True
 
 
-def _emit(text: str, path: Optional[str]):
+def _emit(chunks: list[str], path: Optional[str]):
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -465,7 +501,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         report, ok = _dispatch(args)
-        _emit(_to_text(args.command, report, args.format), args.output)
+        _emit(_to_chunks(args.command, report, args.format), args.output)
         return 0 if ok else 2
     except InputError as exc:
         print(f"erlfit: input error: {exc}", file=sys.stderr)

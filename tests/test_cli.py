@@ -13,7 +13,10 @@ import warnings
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from erlfit import cli
 from erlfit.baseline import BaselineParams
 from erlfit.cli import REPORT_SCHEMA, ingest, main
 from erlfit.core import ErlParams, erl_sample
@@ -272,6 +275,20 @@ class TestSample:
         from_csv = [float(line) for line in cpath.read_text().split()]
         assert from_csv == from_json
 
+    def test_non_finite_draws_are_null_and_na(self, tmp_path):
+        # at lambda = 0.001 the quantile overflows to inf at draws 2 and 4
+        def run(fmt):
+            out = tmp_path / f"inf.{fmt}"
+            assert main(["sample", "--params", "1,1,1,0.001,1", "--n", "5", "--seed", "1",
+                         "--format", fmt, "--output", str(out)]) == 0
+            return out.read_text()
+
+        from_json = json.loads(run("json"))["values"]
+        lines = run("csv").splitlines()
+        assert [v is None for v in from_json] == [False, True, False, True, False]
+        assert [line == "NA" for line in lines] == [v is None for v in from_json]
+        assert [float(line) for line in lines if line != "NA"] == [v for v in from_json if v is not None]
+
 
 @pytest.fixture(scope="module")
 def curves_report(tmp_path_factory):
@@ -388,3 +405,82 @@ class TestConvergenceFailure:
         (record,) = report["models"]
         assert record["converged"] is False
         assert all(err is None for err in record["se"].values())
+
+
+def _sanitize(obj):
+    """Replace non-finite floats with None so the JSON stays strict."""
+    if isinstance(obj, dict):
+        return {key: _sanitize(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_sanitize(item) for item in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def reference_json(obj) -> str:
+    """The JSON reports as json.dumps lays them out."""
+    return json.dumps(_sanitize(obj), indent=2, allow_nan=False)
+
+
+def written_json(obj) -> str:
+    return "".join(cli._json_chunks(obj))
+
+
+LEAVES = st.one_of(
+    st.floats(), st.just(-0.0), st.integers(), st.booleans(), st.none(),
+    st.text(alphabet=st.sampled_from('a"\\/\n\t\x00\u00e9\u2603\U0001f600')),
+)
+NESTED = st.recursive(
+    LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=6).map(tuple),
+        st.lists(st.floats(), max_size=6),
+        st.dictionaries(st.text(max_size=4), children, max_size=6),
+    ),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    """cli._json_chunks against json.dumps of the sanitized report."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(NESTED)
+    def test_matches_json_dumps(self, obj):
+        assert written_json(obj) == reference_json(obj)
+
+    @pytest.mark.parametrize("obj", [{}, [], (), {"a": []}, {"a": {}, "b": ()}, [[], {}], [{}]],
+                             ids=repr)
+    def test_empty_containers(self, obj):
+        assert written_json(obj) == reference_json(obj)
+
+    def test_blocks_with_non_finite_values(self):
+        values = np.linspace(-1.0, 1.0, 2 * cli._BLOCK + 1).tolist()
+        values[cli._BLOCK + 7] = math.nan
+        values[cli._BLOCK + 8] = -math.inf
+        report = {"values": values, "nested": [values[: cli._BLOCK + 9]]}
+        text = written_json(report)
+        assert text == reference_json(report)
+        assert json.loads(text)["values"][cli._BLOCK + 7 : cli._BLOCK + 9] == [None, None]
+
+    def test_float_subclasses_keep_their_repr(self):
+        report = {"x": [np.float64(0.1), 2.5, np.float64(math.inf)], "y": np.float64(1e-300)}
+        assert written_json(report) == reference_json(report)
+
+    COMMANDS = [
+        ["compare", "--input", "DATA", "--models", "RLD,ExpLD", "--seed", "5"],
+        ["gof", "--input", "DATA", "--params", "1,1,1,1,1"],
+        ["sample", "--params", POWER_PARAMS, "--n", str(2 * cli._BLOCK + 3), "--seed", "3"],
+        ["curves", "--params", EXP_PARAMS],
+        ["moments", "--params", POWER_PARAMS],
+    ]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=[c[0] for c in COMMANDS])
+    def test_every_command_report(self, argv, data_file, tmp_path):
+        argv = [data_file if token == "DATA" else token for token in argv]
+        report, _ = cli._dispatch(cli.build_parser().parse_args(argv))
+        out = tmp_path / "report.json"
+        assert main([*argv, "--output", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == reference_json(report) + "\n"

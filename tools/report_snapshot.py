@@ -1,8 +1,9 @@
 """Write a fixed set of CLI reports into one directory.
 
 Each report is what ``erlfit.cli.main`` writes for one command line,
-run in-process; ``exit_codes.txt`` lists every command line with its
-exit status.  Two checkouts give byte-identical directories exactly
+run in-process, to its --output file or, for the ``.stdout`` reports,
+to standard output; ``exit_codes.txt`` lists every command line with
+its exit status.  Two checkouts give byte-identical directories exactly
 when their reports agree, so comparing two commits is one ``diff -rq``:
 
     python3 tools/report_snapshot.py snap_new
@@ -18,6 +19,7 @@ own sampler.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import pathlib
 import sys
 
@@ -55,6 +57,14 @@ def runs(out: pathlib.Path) -> list[tuple[str, list[str]]]:
             (f"moments_{label}.json", ["moments", "--params", params]),
             (f"sample_{label}.json", ["sample", "--params", params, "--n", "100000", "--seed", "7"]),
         ]
+    p2 = PARAM_SETS["p2"]
+    todo += [
+        ("gof_params_p2.csv", ["gof", "--input", sample, "--params", p2, "--format", "csv"]),
+        ("curves_p2.csv", ["curves", "--params", p2, "--format", "csv"]),
+        ("moments_p2.csv", ["moments", "--params", p2, "--format", "csv"]),
+        ("sample_p2.csv", ["sample", "--params", p2, "--n", "100000", "--seed", "7", "--format", "csv"]),
+        ("sample_p2_n10000.json.stdout", ["sample", "--params", p2, "--n", "10000", "--seed", "8"]),
+    ]
     return todo
 
 
@@ -65,7 +75,12 @@ def main() -> None:
     out.mkdir(parents=True, exist_ok=True)
     lines = []
     for name, argv in runs(out):
-        code = erlfit_main([*argv, "--output", str(out / name)])
+        if name.endswith(".stdout"):
+            with open(out / name, "w", encoding="utf-8", newline="\n") as fh, \
+                    contextlib.redirect_stdout(fh):
+                code = erlfit_main(argv)
+        else:
+            code = erlfit_main([*argv, "--output", str(out / name)])
         # the input paths differ between checkouts; the file names do not
         shown = [pathlib.Path(arg).name if pathlib.Path(arg).is_file() else arg for arg in argv]
         lines.append(f"{code} {name}: erlfit {' '.join(shown)}\n")
