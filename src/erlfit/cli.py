@@ -46,6 +46,7 @@ from .submodels import DEFAULT_COMPARE, PARAM_LABELS, ModelSpec, get_model
 PARAM_FLAG_ORDER = ("a", "b", "theta", "lambda", "beta")
 # floats formatted per join when a report writes a list of them
 _BLOCK = 4096
+_FINITE_FLOATS = json.JSONEncoder(allow_nan=False)
 
 # documented shape of fit/compare reports (JSON Schema draft 2020-12)
 REPORT_SCHEMA = {
@@ -272,14 +273,19 @@ def _params_dict(params: ErlParams) -> dict:
 def _float_blocks(values, sep: str, null: str):
     """float.__repr__ of every value, joined by sep, as one string per
     _BLOCK values with sep yielded between them; a non-finite value is
-    written as null."""
+    written as null.
+
+    An all-finite block goes through json's C encoder, which writes
+    float.__repr__ joined by ", " (a float's repr never contains one);
+    it refuses a non-finite value, and such a block is joined per value.
+    """
     for start in range(0, len(values), _BLOCK):
         block = values[start:start + _BLOCK]
         if start:
             yield sep
-        if all(map(math.isfinite, block)):
-            yield sep.join(map(float.__repr__, block))
-        else:
+        try:
+            yield _FINITE_FLOATS.encode(block)[1:-1].replace(", ", sep)
+        except ValueError:
             yield sep.join(float.__repr__(v) if math.isfinite(v) else null for v in block)
 
 
@@ -410,6 +416,17 @@ def _parse_params(text: str) -> ErlParams:
         raise InputError(str(exc)) from exc
 
 
+def _seed(text: str) -> int:
+    # numpy's generators take no negative seed
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="erlfit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -429,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--params", default=None, help="a,b,theta,lambda,beta")
         if n:
             cmd.add_argument("--n", type=int, default=1000, help="number of draws")
-        cmd.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+        cmd.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
         cmd.add_argument("--output", default=None, help="write the report here instead of stdout")
         cmd.add_argument("--format", choices=("json", "csv"), default="json")
         return cmd

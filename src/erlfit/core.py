@@ -52,7 +52,7 @@ from .baseline import (
     _v_at,
 )
 from .errors import NumericalError
-from .specfun import _log_beta, inv_reg_inc_beta, log_beta, reg_inc_beta
+from .specfun import _log_beta, _on_blocks, inv_reg_inc_beta, log_beta, reg_inc_beta
 
 @dataclass(frozen=True)
 class ErlParams:
@@ -180,7 +180,7 @@ def erl_quantile(prob, p: ErlParams):
     t = np.empty_like(pa)
     with np.errstate(divide="ignore", over="ignore"):
         t[~upper] = -np.log1p(-np.asarray(inv_reg_inc_beta(pa[~upper], p.a, p.b)))
-        t[upper] = -np.log(special.betainccinv(p.b, p.a, pa[upper]))
+        t[upper] = -np.log(_on_blocks(special.betainccinv, p.b, p.a, pa[upper]))
         # betainccinv stops at the smallest normal double (T = 708.4) once
         # 1 - K underflows; from T = 700 on, I_{1-K}(b, a) equals
         # (1-K)^b / (b B(a, b)) in doubles, which solves for T directly

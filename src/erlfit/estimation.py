@@ -105,6 +105,8 @@ class FitConfig:
     def __post_init__(self):
         if self.starts < 1:
             raise ValueError("FitConfig requires starts >= 1")
+        if self.seed < 0:
+            raise ValueError("FitConfig requires seed >= 0")
 
 
 @dataclass(frozen=True)

@@ -119,6 +119,22 @@ class TestUsageErrors:
         assert "erlfit: input error" in err
         assert fragment in err
 
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--input", "DATA"],
+        ["compare", "--input", "DATA", "--models", "RLD"],
+        ["gof", "--input", "DATA", "--params", EXP_PARAMS],
+        ["sample", "--params", EXP_PARAMS, "--n", "5"],
+        ["curves", "--params", EXP_PARAMS],
+        ["moments", "--params", EXP_PARAMS],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed(self, argv, data_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        argv = [data_file if token == "DATA" else token for token in argv]
+        assert main([*argv, "--seed", "-3", "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "erlfit: input error" in err and "non-negative" in err
+        assert not out.exists()
+
     def test_missing_input_file(self, tmp_path, capsys):
         assert main(["fit", "--input", str(tmp_path / "gone.txt")]) == 1
         assert "cannot read input file" in capsys.readouterr().err

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from erlfit import specfun
 from erlfit.baseline import (
     BaselineParams,
     baseline_cdf,
@@ -295,6 +296,18 @@ class TestSample:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             erl_sample(0, EXP_POINT, seed=1)
+
+    @pytest.mark.parametrize("p", [SMALL_B_POINT, EXP_POINT], ids=["small_b", "exp"])
+    def test_same_bits_for_any_cpu_count(self, monkeypatch, p):
+        # small b sends nearly every draw to betainccinv, a = b = 1 half
+        # of them to each inverse; both reach several blocks at 50k
+        def draws(cpus):
+            monkeypatch.setattr(specfun, "_cpu_count", lambda: cpus)
+            return erl_sample(50_000, p, 3)
+
+        one = draws(1)
+        for cpus in (2, 3, 5):
+            assert np.array_equal(draws(cpus).view(np.uint64), one.view(np.uint64))
 
 
 class TestMoments:

@@ -358,6 +358,10 @@ class TestFit:
         with pytest.raises(ValueError):
             FitConfig(starts=0)
 
+    def test_config_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            FitConfig(seed=-1)
+
 
 class TestLevels:
     """Models with one number of free parameters fit in one lock-step run,

@@ -6,12 +6,18 @@ decimal digits (frozen below as constants).
 """
 
 import math
+import os
+import subprocess
+import sys
+import threading
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sps
 
+from erlfit import specfun
 from erlfit.specfun import (
     beta_fn,
     digamma,
@@ -284,3 +290,115 @@ class TestInvRegIncBeta:
     def test_domain(self, p):
         with pytest.raises(ValueError):
             inv_reg_inc_beta(p, 2.0, 2.0)
+
+
+# 0 and 1, the smallest subnormal, 0.5 and the largest double below 1
+EDGE_PROBS = [0.0, 5e-324, 0.5, 1.0 - 2.0**-53, 1.0]
+BLOCK_SIZES = [2 * specfun._MIN_BLOCK - 1, 2 * specfun._MIN_BLOCK, 3 * specfun._MIN_BLOCK + 7]
+
+
+def force_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(specfun, "_cpu_count", lambda: cpus)
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype == np.float64 and x.shape == y.shape and np.array_equal(
+        x.view(np.uint64), y.view(np.uint64))
+
+
+def probs(size, seed):
+    p = np.random.default_rng(seed).random(size)
+    p[:5] = EDGE_PROBS
+    p[-5:] = EDGE_PROBS
+    return p
+
+
+class TestOnBlocks:
+    """_on_blocks splits a ufunc over threads without changing a bit."""
+
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    def test_bitwise_equal_to_one_call(self, monkeypatch, cpus, size):
+        force_cpus(monkeypatch, cpus)
+        p = probs(size, size)
+        assert same_bits(inv_reg_inc_beta(p, 2.5, 0.3), sps.betaincinv(2.5, 0.3, p))
+        # (size, 1) against (2,): a broadcast that ravel has to copy
+        a, b = np.array([0.3, 40.0]), np.array([2.5, 0.05])
+        assert same_bits(inv_reg_inc_beta(p[:, None], a, b), sps.betaincinv(a, b, p[:, None]))
+
+    @pytest.mark.parametrize("cpus,size,blocks", [
+        (1, 5 * specfun._MIN_BLOCK, 1),
+        (8, 2 * specfun._MIN_BLOCK - 1, 1),
+        (2, 2 * specfun._MIN_BLOCK, 2),
+        (3, 3 * specfun._MIN_BLOCK + 7, 3),
+        (8, 5 * specfun._MIN_BLOCK, 5),
+    ])
+    def test_cuts_contiguous_blocks(self, monkeypatch, cpus, size, blocks):
+        force_cpus(monkeypatch, cpus)
+        calls = []
+
+        def record(x, out=None):
+            calls.append((int(x[0]), x.size, threading.current_thread() is threading.main_thread()))
+            return np.copyto(out, x) if out is not None else x.copy()
+
+        x = np.arange(size, dtype=np.float64)
+        threads = threading.active_count()
+        assert same_bits(specfun._on_blocks(record, x), x)
+        assert threading.active_count() == threads  # no pool outlives the call
+        calls.sort()
+        assert len(calls) == blocks
+        assert [start for start, _, _ in calls] == list(np.cumsum([0] + [n for _, n, _ in calls[:-1]]))
+        assert sum(n for _, n, _ in calls) == size
+        assert min(n for _, n, _ in calls) >= specfun._MIN_BLOCK or blocks == 1
+        assert calls[0][2] and not any(main for _, _, main in calls[1:])
+
+    def test_import_starts_no_thread(self):
+        code = "import threading, erlfit.cli; print(threading.active_count())"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(specfun.__file__)))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0 and done.stdout.split() == ["1"], done.stderr
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        force_cpus(monkeypatch, 3)
+        x = np.zeros(3 * specfun._MIN_BLOCK)
+        x[-1] = 1.0
+
+        def fail_on_block_2(x, out):
+            if x[-1] == 1.0:
+                raise ArithmeticError("block 2")
+            np.copyto(out, x)
+
+        with pytest.raises(ArithmeticError, match="block 2"):
+            specfun._on_blocks(fail_on_block_2, x)
+
+    def test_workers_keep_the_callers_errstate(self, monkeypatch):
+        force_cpus(monkeypatch, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(divide="ignore"):
+                out = specfun._on_blocks(np.log, np.zeros(4 * specfun._MIN_BLOCK))
+        assert np.all(out == -np.inf)
+
+    def test_many_blocks_under_fast_switching(self, monkeypatch):
+        # more blocks than cores, and a thread switch every microsecond
+        force_cpus(monkeypatch, 6)
+        p = probs(6 * specfun._MIN_BLOCK, 6)
+        expected = sps.betaincinv(2.0, 1.5, p)
+        results = []
+
+        def run():
+            for _ in range(3):
+                results.append(specfun._on_blocks(sps.betaincinv, 2.0, 1.5, p))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=run)
+            worker.start()
+            worker.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert len(results) == 3 and all(same_bits(r, expected) for r in results)

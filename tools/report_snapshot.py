@@ -65,6 +65,11 @@ def runs(out: pathlib.Path) -> list[tuple[str, list[str]]]:
         ("sample_p2.csv", ["sample", "--params", p2, "--n", "100000", "--seed", "7", "--format", "csv"]),
         ("sample_p2_n10000.json.stdout", ["sample", "--params", p2, "--n", "10000", "--seed", "8"]),
     ]
+    # lambda = 0.001 sends about one draw in eight to inf, so these cover the
+    # null and NA writer; at a = b = 1 each inverse gets about 20,000 draws,
+    # enough for at least two blocks of specfun._on_blocks on two CPUs
+    overflow = ["sample", "--params", "1,1,1,0.001,1", "--n", "40000", "--seed", "1"]
+    todo += [("sample_overflow.json", overflow), ("sample_overflow.csv", [*overflow, "--format", "csv"])]
     return todo
 
 
