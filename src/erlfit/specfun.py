@@ -67,20 +67,19 @@ def _on_blocks(ufunc, *args):
     from concurrent.futures import ThreadPoolExecutor
 
     flat = [a.reshape(-1) for a in arrays]
-    out = np.empty(arrays[0].shape, dtype=np.float64)
-    flat_out = out.reshape(-1)
+    out = np.empty(size, dtype=np.float64)
     cuts = [size * i // blocks for i in range(blocks + 1)]
 
     def run(i):
         lo, hi = cuts[i], cuts[i + 1]
-        ufunc(*(a[lo:hi] for a in flat), out=flat_out[lo:hi])
+        ufunc(*(a[lo:hi] for a in flat), out=out[lo:hi])
 
     with ThreadPoolExecutor(blocks - 1) as pool:
         futures = [pool.submit(contextvars.copy_context().run, run, i) for i in range(1, blocks)]
         run(0)
         for future in futures:
             future.result()
-    return out
+    return out.reshape(arrays[0].shape)
 
 
 def _promote(*args):
