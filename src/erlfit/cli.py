@@ -3,14 +3,19 @@
 Subcommands: fit, compare, gof, sample, curves, moments.  Input files
 hold one numeric value per line (or a single-column CSV whose optional
 header line is skipped).  Reports are JSON (full float precision) or
-CSV (6 significant digits).  Exit codes: 0 success, 1 input error,
-2 at least one requested fit failed to converge, 3 internal numerical
-error.  With a fixed --seed every command is byte-reproducible.
+CSV (6 significant digits), and each CSV table is read off its JSON
+report: one row per model record for fit and compare, the list-valued
+columns for curves, the dotted leaves as quantity,value for gof and
+moments, one full-precision draw per line for sample.  Exit codes:
+0 success, 1 input error, 2 at least one requested fit failed to
+converge, 3 internal numerical error.  With a fixed --seed every
+command is byte-reproducible.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -43,7 +48,6 @@ from .estimation import (
 from .gof import gof_report, info_criteria, sample_kurtosis, sample_skewness
 from .submodels import DEFAULT_COMPARE, PARAM_LABELS, ModelSpec, get_model
 
-PARAM_FLAG_ORDER = ("a", "b", "theta", "lambda", "beta")
 # floats formatted per join when a report writes a list of them
 _BLOCK = 4096
 _FINITE_FLOATS = json.JSONEncoder(allow_nan=False)
@@ -212,13 +216,7 @@ def run_gof(data: Dataset, params: ErlParams, model_name: str, fitted_nll: float
             "params": _params_dict(params),
             "nll": fitted_nll,
         },
-        "gof": {
-            "n": report.n,
-            "ks": report.ks,
-            "ks_pvalue": report.ks_pvalue,
-            "cvm": report.cvm,
-            "ad": report.ad,
-        },
+        "gof": dataclasses.asdict(report),
     }
 
 
@@ -266,8 +264,7 @@ def run_sample(params: ErlParams, n: int, seed: int) -> dict:
 
 
 def _params_dict(params: ErlParams) -> dict:
-    a, b, theta, lam, beta = params.values()
-    return {"a": a, "b": b, "theta": theta, "lambda": lam, "beta": beta}
+    return dict(zip(PARAM_LABELS.values(), params.values()))
 
 
 def _float_blocks(values, sep: str, null: str):
@@ -333,65 +330,57 @@ def _format_number(value) -> str:
     return str(value)
 
 
-def _report_csv(report: dict) -> str:
-    param_cols = ",".join(f"{label},se_{label}" for label in PARAM_FLAG_ORDER)
-    lines = [f"model,{param_cols},nll,aic,caic,hqic,bic,converged"]
-    for record in report["models"]:
-        cells = [record["name"]]
-        for label in PARAM_FLAG_ORDER:
+def _csv(header, rows) -> str:
+    """A CSV table: the header line, then one line per row, every cell
+    through _format_number."""
+    lines = [",".join(header)]
+    lines += [",".join(_format_number(cell) for cell in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _model_table(records: list[dict]) -> str:
+    """One row per model record: its name, the value and se of every
+    parameter in PARAM_LABELS order (blank se for a fixed parameter,
+    blank pair for an absent one), then every other field in record
+    order."""
+    labels = PARAM_LABELS.values()
+    rest = [key for key in records[0] if key not in ("name", "estimates", "fixed", "se")]
+    header = ["model", *(prefix + label for label in labels for prefix in ("", "se_")), *rest]
+    rows = []
+    for record in records:
+        row = [record["name"]]
+        for label in labels:
             if label in record["estimates"]:
-                cells.append(_format_number(record["estimates"][label]))
-                cells.append(_format_number(record["se"][label]))
-            elif label in record["fixed"]:
-                cells.append(_format_number(record["fixed"][label]))
-                cells.append("")
+                row += [record["estimates"][label], record["se"][label]]
             else:
-                cells.append("")
-                cells.append("")
-        for key in ("nll", "aic", "caic", "hqic", "bic"):
-            cells.append(_format_number(record[key]))
-        cells.append(_format_number(record["converged"]))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+                row += [record["fixed"].get(label, ""), ""]
+        rows.append(row + [record[key] for key in rest])
+    return _csv(header, rows)
 
 
-def _curves_csv(report: dict) -> str:
-    lines = ["x,pdf,cdf,survival,hazard"]
-    for i in range(len(report["x"])):
-        lines.append(",".join(
-            _format_number(report[col][i]) for col in ("x", "pdf", "cdf", "survival", "hazard")
-        ))
-    return "\n".join(lines) + "\n"
-
-
-def _pairs_csv(report: dict, skip=("params",)) -> str:
-    lines = ["quantity,value"]
-
-    def walk(prefix: str, obj):
-        if isinstance(obj, dict):
-            for key, value in obj.items():
-                walk(f"{prefix}{key}." if isinstance(value, dict) else f"{prefix}{key}", value)
+def _leaves(obj: dict, prefix: str = ""):
+    """(dotted key, value) of every value of obj that is not a dict."""
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
         else:
-            lines.append(f"{prefix},{_format_number(obj)}")
-
-    for key, value in report.items():
-        if key in skip:
-            continue
-        walk(f"{key}." if isinstance(value, dict) else key, value)
-    return "\n".join(lines) + "\n"
+            yield f"{prefix}{key}", value
 
 
 def _to_chunks(command: str, report: dict, fmt: str) -> list[str]:
-    """The whole report text, as pieces to write in order."""
+    """The whole report text, as pieces to write in order; a CSV table
+    takes its layout from the report (see the module docstring)."""
     if fmt == "json":
         return [*_json_chunks(report), "\n"]
-    if command in ("fit", "compare"):
-        return [_report_csv(report)]
-    if command == "curves":
-        return [_curves_csv(report)]
     if command == "sample":
         return [*_float_blocks(report["values"], "\n", "NA"), "\n"]
-    return [_pairs_csv(report)]
+    if command in ("fit", "compare"):
+        return [_model_table(report["models"])]
+    if command == "curves":
+        columns = [key for key, value in report.items() if isinstance(value, list)]
+        return [_csv(columns, zip(*(report[key] for key in columns)))]
+    rest = {key: value for key, value in report.items() if key != "params"}
+    return [_csv(("quantity", "value"), _leaves(rest))]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -471,6 +460,9 @@ def _resolve_models(text: Optional[str], command: str) -> tuple[ModelSpec, ...]:
         specs = tuple(get_model(name) for name in names)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    repeated = sorted({spec.name for spec in specs if specs.count(spec) > 1})
+    if repeated:
+        raise InputError(f"--models names {', '.join(repeated)} more than once")
     if command == "fit" and len(specs) != 1:
         raise InputError("fit takes exactly one model; use compare for several")
     return specs

@@ -11,4 +11,5 @@ class NumericalError(RuntimeError):
 
 
 class InputError(ValueError):
-    """User-supplied input data could not be ingested (CLI layer)."""
+    """User-supplied input cannot be used: unreadable or malformed data,
+    too few observations for a model, or a bad command-line value."""

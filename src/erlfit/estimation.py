@@ -59,6 +59,7 @@ from scipy import optimize
 
 from .baseline import _log_transform
 from .core import ErlParams
+from .errors import InputError
 from .neldermead import _nelder_mead, _pad
 from .specfun import _log_beta, digamma
 from .submodels import PARAM_NAMES, ModelSpec
@@ -282,7 +283,7 @@ def fit_ladder(
     """
     for spec in specs:
         if data.n <= spec.free_count:
-            raise ValueError(
+            raise InputError(
                 f"{spec.name}: need at least {spec.free_count + 1} observations, got {data.n}"
             )
     span = float(data.values[-1] - data.values[0])

@@ -103,6 +103,7 @@ class TestUsageErrors:
         (["fit", "--input", "DATA", "--models", "Weibull"], "known models"),
         (["fit", "--input", "DATA", "--models", "RLD,ExpLD"], "exactly one model"),
         (["fit", "--input", "DATA", "--models", " , "], "at least one model"),
+        (["compare", "--input", "DATA", "--models", "RLD,rld"], "names RLD more than once"),
         (["sample", "--params", "2,1,1,0.5", "--n", "5"], "five comma-separated"),
         (["sample", "--params", "2,1,one,0.5,2", "--n", "5"], "must be numeric"),
         (["sample", "--params", "0,1,1,1,1", "--n", "5"], "finite positive"),
@@ -138,6 +139,20 @@ class TestUsageErrors:
     def test_missing_input_file(self, tmp_path, capsys):
         assert main(["fit", "--input", str(tmp_path / "gone.txt")]) == 1
         assert "cannot read input file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,fragment", [
+        (["compare"], "ExpLD: need at least 4 observations, got 3"),
+        (["fit", "--models", "RLD"], "RLD: need at least 4 observations, got 3"),
+        (["gof", "--models", "ERLD"], "ERLD: need at least 6 observations, got 3"),
+    ], ids=["compare", "fit", "gof"])
+    def test_too_few_observations(self, argv, fragment, tmp_path, capsys):
+        data = tmp_path / "three.txt"
+        data.write_text("0.5\n1.5\n2.5\n")
+        out = tmp_path / "report.json"
+        assert main([*argv, "--input", str(data), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"erlfit: input error: {fragment}\n"
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +215,18 @@ class TestFit:
         assert float(cells[1]) == 1.0 and cells[2] == ""
         assert float(cells[5]) == pytest.approx(1.036, abs=5e-3)
         assert float(cells[11]) == pytest.approx(143.893, abs=5e-3)
+
+    def test_csv_follows_the_record(self, data_file, tmp_path, monkeypatch):
+        # a field added to the JSON record becomes the last CSV column
+        record = cli._model_record
+        monkeypatch.setattr(cli, "_model_record", lambda fit: {**record(fit), "extra": 0.125})
+        out = tmp_path / "compare.csv"
+        assert main(["compare", "--input", data_file, "--models", "RLD,ExpLD",
+                     "--format", "csv", "--output", str(out)]) == 0
+        header, *rows = out.read_text().splitlines()
+        assert header.endswith(",converged,extra")
+        assert len(rows) == 2
+        assert all(row.endswith(",true,0.125") for row in rows)
 
 
 @pytest.fixture(scope="module")
@@ -334,12 +361,15 @@ class TestCurves:
         # this parameter point is the unit-rate shifted exponential
         np.testing.assert_allclose(hazard, 1.0, atol=1e-9)
 
-    def test_csv_table(self, tmp_path):
+    def test_csv_table(self, curves_report, tmp_path):
         out = tmp_path / "curves.csv"
         assert main(["curves", "--params", EXP_PARAMS, "--format", "csv",
                      "--output", str(out)]) == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "x,pdf,cdf,survival,hazard"
+        # the columns are the report's list-valued keys, in order
+        columns = [key for key, value in curves_report.items() if isinstance(value, list)]
+        assert lines[0].split(",") == columns
         assert len(lines) == 513
         cells = lines[256].split(",")
         assert len(cells) == 5

@@ -51,6 +51,9 @@ def runs(out: pathlib.Path) -> list[tuple[str, list[str]]]:
         path = out / f"input_n2000_seed{seed}.txt"
         write_values(path, draw(FIT_POINT, 2000, seed))
         todo.append((f"fit_n2000_seed{seed}.json", ["fit", "--input", str(path), "--models", "ERLD"]))
+    # every parameter of ERLD is estimated here, so each column of the table is filled
+    fit_csv = ["fit", "--input", str(out / "input_n2000_seed0.txt"), "--models", "ERLD", "--format", "csv"]
+    todo.append(("fit_n2000_seed0.csv", fit_csv))
     for label, params in PARAM_SETS.items():
         todo += [
             (f"curves_{label}.json", ["curves", "--params", params]),
@@ -60,6 +63,7 @@ def runs(out: pathlib.Path) -> list[tuple[str, list[str]]]:
     p2 = PARAM_SETS["p2"]
     todo += [
         ("gof_params_p2.csv", ["gof", "--input", sample, "--params", p2, "--format", "csv"]),
+        ("gof_erld.csv", ["gof", "--input", sample, "--models", "ERLD", "--format", "csv"]),
         ("curves_p2.csv", ["curves", "--params", p2, "--format", "csv"]),
         ("moments_p2.csv", ["moments", "--params", p2, "--format", "csv"]),
         ("sample_p2.csv", ["sample", "--params", p2, "--n", "100000", "--seed", "7", "--format", "csv"]),
