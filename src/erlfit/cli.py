@@ -463,8 +463,8 @@ def _resolve_models(text: Optional[str], command: str) -> tuple[ModelSpec, ...]:
     repeated = sorted({spec.name for spec in specs if specs.count(spec) > 1})
     if repeated:
         raise InputError(f"--models names {', '.join(repeated)} more than once")
-    if command == "fit" and len(specs) != 1:
-        raise InputError("fit takes exactly one model; use compare for several")
+    if command != "compare" and len(specs) != 1:
+        raise InputError(f"{command} takes exactly one model; use compare for several")
     return specs
 
 
@@ -478,11 +478,13 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict, bool]:
         ok = all(record["converged"] for record in report["models"])
         return report, ok
     if args.command == "gof":
+        if args.params is not None and args.models is not None:
+            raise InputError("gof takes --models or --params, not both")
         data = ingest(args.input)
         if args.params is not None:
             params = _parse_params(args.params)
             return run_gof(data, params, "fixed", nll(params, data)), True
-        (spec,) = _resolve_models(args.models, "fit")
+        (spec,) = _resolve_models(args.models, "gof")
         fit = fit_mle(spec, data, cfg)
         return run_gof(data, fit.params, spec.name, fit.nll), fit.converged
     if args.params is None:

@@ -25,10 +25,14 @@ starts run in lock-step in one in-house Nelder-Mead optimizer
 the largest number of free parameters among them; every step evaluates
 the reflections of all live starts in one kernel call (then the
 expansion or contraction points, then any shrunken vertices, in one
-call each), and a start leaves the arrays when it converges or reaches
-its own maxiter.  Each start takes exactly scipy's default Nelder-Mead
-steps, so a fit is the one a loop over scipy.optimize.minimize would
-give.
+call each), and a start leaves the arrays when it converges, reaches
+its own maxiter, or stops at a fixed point (a step that leaves its
+sorted simplex and values bit for bit as they were, so that every later
+step would repeat it; it ends as at maxiter).  Each start takes exactly
+scipy's default Nelder-Mead steps, so a fit is the one a loop over
+scipy.optimize.minimize would give.  On the bundled data, compare at
+seed 0 takes 2,595 lock-step steps and 5,355 kernel calls carrying
+118,359 parameter rows.
 
 fit_ladder fits several models this way in one run, whatever their
 numbers k of free parameters: _nelder_mead tells the objective which

@@ -5,6 +5,13 @@ scipy.optimize.minimize(method="Nelder-Mead") moves it alone, and
 evaluates the trial points of all live starts in one call of the
 objective per phase of a step.  Starts may differ in dimension and may
 join while the run goes on; _Layout says where each keeps its simplex.
+
+A step of a start is a function of its own sorted simplex and values
+alone, as long as the value the objective gives a point does not depend
+on the other points of its call.  So a start whose step leaves both bit
+for bit as they were, which only a shrink that rounds back onto its own
+vertices can do, would repeat that step until maxiter; it ends at once,
+as scipy's run ends at maxiter.
 """
 
 from __future__ import annotations
@@ -106,12 +113,14 @@ def _nelder_mead(
 
     f(points, starts) maps an (m, w) array of points to their (m,)
     values, where starts[r] is the start that point r belongs to, so one
-    run can hold starts of different objectives.  Starts are numbered in
-    the order they join, the points of x0 first, and may differ in
-    dimension: w is the largest so far, and narrower points are
-    zero-padded on the right.  join(done), if given, is called with the
-    (start, OptimizeResult) pairs of the starts that have just finished
-    and returns the points of the starts that join now.
+    run can hold starts of different objectives.  f(points, starts)[r]
+    must depend only on row r of points and on starts[r], whatever else
+    the call holds.  Starts are numbered in the order they join, the
+    points of x0 first, and may differ in dimension: w is the largest so
+    far, and narrower points are zero-padded on the right.  join(done),
+    if given, is called with the (start, OptimizeResult) pairs of the
+    starts that have just finished and returns the points of the starts
+    that join now.
 
     Every start takes exactly the steps of
     scipy.optimize.minimize(method="Nelder-Mead") with options maxiter,
@@ -120,10 +129,13 @@ def _nelder_mead(
     f, then the expansion or contraction points of the starts that need
     one, then the shrunken vertices; the first simplices of the starts
     that join together take one call.  All live starts share one array of
-    simplices (see _Layout).  A start leaves when it converges or reaches
-    maxiter.  Returns one OptimizeResult (x, fun, nit, success) per
-    start, in start order; success means it converged before maxiter, as
-    in scipy.
+    simplices (see _Layout).  A start leaves when it converges, reaches
+    maxiter, or stops at a fixed point: a step after which its sorted
+    simplex and values are bit for bit those before it.  Every later step
+    would repeat that one, so such a start ends with nit = maxiter and
+    success False, as scipy's run does.  Returns one OptimizeResult (x,
+    fun, nit, success) per start, in start order; success means it
+    converged before maxiter, as in scipy.
     """
     results: list = []
     width = 0
@@ -212,7 +224,7 @@ def _nelder_mead(
                 # every vertex after the best moves halfway to it, the
                 # worst from where it was before this step
                 near = np.flatnonzero(shrink)
-                block = sim[near]
+                block, f_before = sim[near], fsim[near]
                 best = block[layout.rows[: len(near)], first[near, None]]
                 moved = layout.after_best[near]
                 shrunk = np.where(moved[:, :, None], best + _SIGMA * (block - best), block)
@@ -225,4 +237,10 @@ def _nelder_mead(
                 fsim[near] = f_block
             nit += 1
             sim, fsim = layout.sort(sim, fsim)
+            if shrinking:
+                # a shrink that rounds back onto its own sorted simplex and
+                # values, bit for bit, repeats the same step until maxiter
+                same = (sim[near].view(np.int64) == block.view(np.int64)).all(axis=(1, 2))
+                same &= (fsim[near].view(np.int64) == f_before.view(np.int64)).all(axis=1)
+                nit[near[same]] = maxiter
     return results

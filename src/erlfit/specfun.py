@@ -55,7 +55,8 @@ def _on_blocks(ufunc, *args):
     result.  Below two blocks it is the one direct call.
 
     Workers run in a copy of the caller's context, which carries numpy's
-    errstate; every worker's exception reaches the caller.
+    errstate from numpy 2.0 on (numpy 1.x keeps it per thread, hence the
+    numpy>=2.0 floor); every worker's exception reaches the caller.
     """
     arrays = np.broadcast_arrays(*args)
     size = arrays[0].size

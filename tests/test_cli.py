@@ -102,6 +102,7 @@ class TestUsageErrors:
         (["frobnicate"], "invalid choice"),
         (["fit", "--input", "DATA", "--models", "Weibull"], "known models"),
         (["fit", "--input", "DATA", "--models", "RLD,ExpLD"], "exactly one model"),
+        (["gof", "--input", "DATA", "--models", "ERLD,RLD"], "gof takes exactly one model"),
         (["fit", "--input", "DATA", "--models", " , "], "at least one model"),
         (["compare", "--input", "DATA", "--models", "RLD,rld"], "names RLD more than once"),
         (["sample", "--params", "2,1,1,0.5", "--n", "5"], "five comma-separated"),
@@ -134,6 +135,13 @@ class TestUsageErrors:
         assert main([*argv, "--seed", "-3", "--output", str(out)]) == 1
         err = capsys.readouterr().err
         assert "erlfit: input error" in err and "non-negative" in err
+        assert not out.exists()
+
+    def test_gof_takes_models_or_params(self, data_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        argv = ["gof", "--input", data_file, "--models", "RLD", "--params", EXP_PARAMS]
+        assert main([*argv, "--output", str(out)]) == 1
+        assert capsys.readouterr().err == "erlfit: input error: gof takes --models or --params, not both\n"
         assert not out.exists()
 
     def test_missing_input_file(self, tmp_path, capsys):

@@ -246,6 +246,48 @@ class TestNelderMead:
             assert run.nit == ref.nit
             assert run.success == ref.success
 
+    def test_fixed_point_ends_as_at_maxiter(self):
+        # BLD's seed-0 draws 9 and 14, as fit_ladder makes them, shrink back
+        # onto their own simplex and values, bit for bit, near the search-box
+        # edge.  scipy repeats that step until maxiter; the start must end as
+        # scipy's does without evaluating it again, alone and beside draws 1
+        # and 2, which converge
+        objective = one_model(_objective([get_model("BLD")], load_synthetic())[2])
+        rng = np.random.default_rng(0)
+        draws = [rng.uniform(math.log(1e-2), math.log(1e2), size=4) for _ in range(19)]
+        options = {"maxiter": 2000, "fatol": 1e-8, "xatol": 1e-8}
+        with np.errstate(invalid="ignore"):
+            refs = {
+                i: optimize.minimize(
+                    lambda z: objective(z[None, :])[0], draws[i], method="Nelder-Mead", options=options
+                )
+                for i in (0, 1, 8, 13)
+            }
+
+        def rows_to_match_scipy(picks):
+            rows = 0
+
+            def counted(z, starts):
+                nonlocal rows
+                rows += len(z)
+                return objective(z)
+
+            runs = _nelder_mead(counted, [draws[i] for i in picks], 2000, 1e-8)
+            for pick, run in zip(picks, runs):
+                ref = refs[pick]
+                assert np.array_equal(run.x, ref.x)
+                assert run.fun == ref.fun
+                assert run.nit == ref.nit
+                assert run.success == ref.success
+                if pick in (8, 13):
+                    assert run.nit == 2000 and run.success is False
+            return rows
+
+        # 722 and 951 rows; repeating the last step until maxiter takes over 10,000
+        assert rows_to_match_scipy([8]) < 2000
+        assert rows_to_match_scipy([13]) < 2000
+        rows_to_match_scipy([0, 8, 13, 1])
+
     def test_no_starts(self):
         assert _nelder_mead(lambda z, starts: np.zeros(len(z)), np.empty((0, 3)), 100, 1e-8) == []
 
@@ -398,11 +440,13 @@ class TestLevels:
         assert all(self.same_fit(one, two) for one, two in zip(levels, sequential))
 
     def test_compare_work_count(self, monkeypatch):
-        # fitted one model at a time, compare carried these 162,715 rows in
-        # 20,857 calls, and level by level in 13,775: the same rows mean
-        # every start took the same steps, and the calls fall as the starts
-        # of the whole ladder share them.  The row count moves whenever the
-        # kernel's rounding does, because every trajectory moves with it
+        # fitted one model at a time, compare carried 162,715 rows in 20,857
+        # calls, and level by level in 13,775: the same rows mean every start
+        # took the same steps, and the calls fall as the starts of the whole
+        # ladder share them.  The rows fall to 118,359 because a start that
+        # stops at a fixed point no longer repeats its step until maxiter.
+        # The row count moves whenever the kernel's rounding does, because
+        # every trajectory moves with it
         calls = rows = 0
 
         def counted(values, x):
@@ -414,8 +458,8 @@ class TestLevels:
         monkeypatch.setattr(estimation, "_nll", counted)
         specs = [get_model(name) for name in DEFAULT_COMPARE]
         run_compare(load_synthetic(), specs, FitConfig(seed=0))
-        assert rows == 162_715
-        assert calls <= 7_240
+        assert rows == 118_359
+        assert calls <= 5_355
 
 
 class TestStandardErrors:

@@ -47,6 +47,12 @@ def runs(out: pathlib.Path) -> list[tuple[str, list[str]]]:
         ("gof_erld.json", ["gof", "--input", sample, "--models", "ERLD"]),
         ("gof_params.json", ["gof", "--input", sample, "--params", "2,1.5,1,1,1"]),
     ]
+    # with seeds 0 and 3 above, compare is checked at seeds 0-9, so a change
+    # to the optimizer or the ladder meets ten sets of seeded starts
+    todo += [
+        (f"compare_seed{seed}.json", ["compare", "--input", sample, "--seed", str(seed)])
+        for seed in (1, 2, 4, 5, 6, 7, 8, 9)
+    ]
     for seed in (0, 1):
         path = out / f"input_n2000_seed{seed}.txt"
         write_values(path, draw(FIT_POINT, 2000, seed))
