@@ -42,8 +42,8 @@ class BaselineParams:
                 raise ValueError(f"BaselineParams.{name} must be a finite positive number")
 
 
-def _log_transform(x, theta, lam, beta, out=None):
-    """(ln v, T, ln K) at x, in the rows of out if given, where
+def _log_transform(x, theta, lam, beta):
+    """(ln v, T, ln K) at x as one (3, ...) array, where
     v = (theta + x) / theta, T = exp(_log_exponent) and K = 1 - e^-T.
     x broadcasts against the parameters (the kernel's are columns).
 
@@ -53,9 +53,8 @@ def _log_transform(x, theta, lam, beta, out=None):
     ln v and ln K are -inf and T is 0 there.
     """
     x = np.asarray(x, dtype=np.float64)
-    if out is None:
-        out = np.empty((3,) + np.broadcast(x, theta, lam, beta).shape)
-    # out[i, ...] rather than out[i], so a scalar x still gets 0-d arrays
+    out = np.empty((3,) + np.broadcast(x, theta, lam, beta).shape)
+    # out[i, ...] rather than out[i]: at a scalar x, out[i] is a copy, not a view
     log_v, t, log_k = out[0, ...], out[1, ...], out[2, ...]
     with np.errstate(divide="ignore", over="ignore"):
         np.add(theta, x, out=log_v)
@@ -69,7 +68,7 @@ def _log_transform(x, theta, lam, beta, out=None):
         np.expm1(log_k, out=log_k)
         np.negative(log_k, out=log_k)
         np.log(log_k, out=log_k)
-    return log_v, t, log_k
+    return out
 
 
 def _log_exponent(log_v, lam, beta, out=None):

@@ -7,8 +7,8 @@ The log-likelihood depends on the data only through three sums,
 
 so the kernel over rows of raw floats (a, b, theta, lam, beta) forms
 ln v, T and ln(1 - e^-T) once per point (baseline._log_transform, as
-the pdf, cdf and survival do), takes the three row
-sums (_sums) and combines them with per-row scalars: _nll maps an (m, 5)
+the pdf, cdf and survival do), reduces that (3, rows, n) block to the
+row sums and combines them with per-row scalars: _nll maps an (m, 5)
 array to m values, taking the rows in chunks of at most 2^14 doubles
 per (rows, n) temporary.  A row's value does not depend on the batch it
 is evaluated in; a lone row is a (1, 5) array.  The (a, b) score reads
@@ -47,9 +47,9 @@ its own start order, each model's fit is exactly the one it gets alone;
 fit_mle is fit_ladder of one model.
 
 Standard errors come from a centered finite-difference Hessian in the
-original parameterization, its whole stencil evaluated in one kernel
-call; parameters whose Hessian entries are unusable (boundary kinks,
-failed inversions) report None rather than a made-up number.
+original parameterization, its stencil built as arrays and evaluated in
+one kernel call; parameters whose Hessian entries are unusable (boundary
+kinks, failed inversions) report None rather than a made-up number.
 """
 
 from __future__ import annotations
@@ -151,7 +151,9 @@ def _nll(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for lo in range(0, len(values), step):
             a, b, theta, lam, beta = values[lo : lo + step].T
-            sum_log_v, sum_t, sum_log_k = _sums(x, theta, lam, beta)
+            sum_log_v, sum_t, sum_log_k = np.add.reduce(
+                _log_transform(x, theta[:, None], lam[:, None], beta[:, None]), axis=2
+            )
             lnb = np.fromiter(map(_log_beta, a.tolist(), b.tolist()), np.float64, a.size)
             total = (
                 n * np.log(beta * lam / theta)
@@ -165,17 +167,6 @@ def _nll(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sums(x: np.ndarray, theta: np.ndarray, lam: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """(sum ln v, sum T, sum ln(1 - e^-T)) over x at each entry of theta,
-    lam and beta, shape (m,): the data part of the log-likelihood, and
-    of the (a, b) score, as a (3, m) array.  The transform writes its
-    three (m, n) terms into one work array, summed in one reduction.
-    The caller sets np.errstate for the sums."""
-    work = np.empty((3, theta.size, x.size))
-    _log_transform(x, theta[:, None], lam[:, None], beta[:, None], out=work)
-    return np.add.reduce(work, axis=2)
-
-
 def score_ab(params: ErlParams, data: Dataset) -> tuple[float, float]:
     """Analytic score components for the shape pair (a, b), from the
     sums the likelihood kernel reads.
@@ -187,13 +178,13 @@ def score_ab(params: ErlParams, data: Dataset) -> tuple[float, float]:
     if data.values[0] <= -theta:
         raise ValueError("score_ab requires every point inside the support")
     with np.errstate(over="ignore"):
-        _sum_log_v, sum_t, sum_log_k = _sums(
-            data.values, np.array([theta]), np.array([lam]), np.array([beta])
+        _sum_log_v, sum_t, sum_log_k = np.add.reduce(
+            _log_transform(data.values, theta, lam, beta), axis=1
         )
     n = data.n
     common = digamma(params.a + params.b)
-    d_a = n * (common - digamma(params.a)) + float(sum_log_k[0])
-    d_b = n * (common - digamma(params.b)) - float(sum_t[0])
+    d_a = n * (common - digamma(params.a)) + float(sum_log_k)
+    d_b = n * (common - digamma(params.b)) - float(sum_t)
     return (d_a, d_b)
 
 
@@ -429,21 +420,16 @@ def standard_errors(fit: FitResult, data: Dataset) -> FitResult:
     k = free.size
     steps = 1e-4 * np.maximum(np.abs(free), 1e-3)
 
-    # the whole stencil as one kernel call, its values read back below in
-    # the order the points go in; a point that leaves the parameter space
-    # (a value <= 0 or not finite) is +inf
+    # the whole stencil as one kernel call: the centre, +- a step along
+    # each axis, then the four +- corners of each pair i < j; a point that
+    # leaves the parameter space (a value <= 0 or not finite) is +inf
     unit = np.diag(steps)
-    points = [free]
-    for i in range(k):
-        points += [free + unit[i], free - unit[i]]
-        for j in range(i + 1, k):
-            points += [
-                free + unit[i] + unit[j],
-                free + unit[i] - unit[j],
-                free - unit[i] + unit[j],
-                free - unit[i] - unit[j],
-            ]
-    points = np.array(points)
+    i, j = np.triu_indices(k, 1)
+    corners = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    points = np.concatenate(
+        [free[None, :], free + unit, free - unit]
+        + [free + si * unit[i] + sj * unit[j] for si, sj in corners]
+    )
     fixed = [float(spec.fixed_map.get(name, 0.0)) for name in PARAM_NAMES]
     rows = np.tile(fixed, (len(points), 1))
     rows[:, [PARAM_NAMES.index(name) for name in spec.free_names]] = points
@@ -451,16 +437,15 @@ def standard_errors(fit: FitResult, data: Dataset) -> FitResult:
     vals = np.full(len(points), math.inf)
     if valid.any():
         vals[valid] = _nll(rows[valid], data.values)
-    f = iter(vals.tolist())
+    plus, minus = vals[1 : k + 1], vals[k + 1 : 2 * k + 1]
+    pp, pm, mp, mm = vals[2 * k + 1 :].reshape(4, -1)
 
-    hess = np.full((k, k), math.nan)
-    f0 = next(f)
-    for i in range(k):
-        hess[i, i] = (next(f) - 2.0 * f0 + next(f)) / steps[i] ** 2
-        for j in range(i + 1, k):
-            hess[i, j] = hess[j, i] = (next(f) - next(f) - next(f) + next(f)) / (
-                4.0 * steps[i] * steps[j]
-            )
+    hess = np.empty((k, k))
+    # a +inf point makes its entries NaN, which the pruning drops; float_power
+    # squares by libm's pow, as float ** 2 does, and steps ** 2 may differ by 1 ulp
+    with np.errstate(invalid="ignore", over="ignore"):
+        hess[np.diag_indices(k)] = (plus - 2.0 * vals[0] + minus) / np.float_power(steps, 2)
+        hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4.0 * steps[i] * steps[j])
 
     se: list[Optional[float]] = [None] * k
     # a parameter at the support boundary (e.g. theta pinned near -min x)
