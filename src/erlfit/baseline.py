@@ -71,6 +71,15 @@ def _log_transform(x, theta, lam, beta):
     return out
 
 
+def _log1mexp(t: float) -> float:
+    """ln(1 - e^-t) at a float t > 0 in full precision (Maechler 2012):
+    ln(-expm1(-t)) up to t = ln 2, then log1p(-e^-t), which keeps the
+    digits of a small e^-t that 1 - e^-t rounds away."""
+    if t <= math.log(2.0):
+        return math.log(-math.expm1(-t))
+    return math.log1p(-math.exp(-t))
+
+
 def _log_exponent(log_v, lam, beta, out=None):
     """ln T = 2 lam ln v + ln(beta / 2): its exp is a double wherever T is
     one, even where v^(2 lam) alone is not, and ln T itself keeps full

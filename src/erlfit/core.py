@@ -45,6 +45,7 @@ from scipy import integrate, special
 
 from .baseline import (
     BaselineParams,
+    _log1mexp,
     _log_exponent,
     _log_k_plus_t,
     _log_transform,
@@ -237,7 +238,7 @@ def erl_raw_moment(r: int, p: ErlParams) -> float:
         return term(-math.log1p(-y), (a - 1.0 - alpha) * math.log(y) + (b - 1.0) * math.log1p(-y))
 
     def upper(t):
-        return term(t, (a - 1.0) * math.log(-math.expm1(-t)) - b * t)
+        return term(t, (a - 1.0) * _log1mexp(t) - b * t)
 
     quad_args = {"epsabs": 0.0, "epsrel": 1e-10, "limit": 500, "full_output": 1}
     try:
@@ -321,7 +322,7 @@ def normalization_check(p: ErlParams) -> float:
     from the quantile transform (not reconstructed from a rounded x,
     which is unresolvable within one ulp of -theta for small theta*lam).
     _log_transform starts from x, so the check forms T from that v's ln v
-    through _log_exponent and its ln K = ln(1 - e^-T) itself.
+    through _log_exponent and its ln K = ln(1 - e^-T) through _log1mexp.
     """
     a, b = p.a, p.b
     lnb = log_beta(a, b)
@@ -333,7 +334,7 @@ def normalization_check(p: ErlParams) -> float:
         with np.errstate(divide="ignore"):
             log_v = np.log(_quantile_v(u, p.base))
         t = float(np.exp(_log_exponent(log_v, p.base.lam, p.base.beta)))
-        log_g = float(_log_density(log_v, t, np.log(-np.expm1(-t)), *p.values()))
+        log_g = float(_log_density(log_v, t, _log1mexp(t), *p.values()))
         log_k = float(_log_k_plus_t(log_v, p.base.theta, p.base.lam, p.base.beta)) - t
         return math.exp(
             log_g - log_k - (a - 1.0) * math.log(u) - (b - 1.0) * math.log1p(-u)

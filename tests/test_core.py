@@ -351,6 +351,20 @@ class TestMoments:
         p = ErlParams(70.0, 200.0, BaselineParams(0.12, 1.25, 10.0))
         assert erl_raw_moment(1, p) == pytest.approx(-0.081084086980798545, rel=1e-10)
 
+    def test_edge_estimate_mean_against_mpmath(self):
+        # compare's ERLD estimate on the bundled data, where the upper half
+        # meets ln(1 - e^-T) near T = ln a = 30: as ln(-expm1(-T)) it loses
+        # the digits of e^-T and QUADPACK flags roundoff; mpmath at 40
+        # digits, integrating in T, gives 0.38500073726685994
+        p = ErlParams.from_values(
+            10686427128827.076,
+            0.0012581886605270633,
+            0.024999997691588803,
+            0.10386724553124053,
+            2269.5488940249406,
+        )
+        assert erl_raw_moment(1, p) == pytest.approx(0.38500073726686, rel=1e-12)
+
     def test_refuses_rather_than_misses(self):
         # compare's ERLD estimate on the bundled data; mpmath at 30 digits
         # gives 1.637479533060849e33, and the sum QUADPACK flags is 2.8e-5 off
