@@ -7,6 +7,7 @@ and the (a, b) score components at that point are hand-computable.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import optimize
@@ -30,7 +31,7 @@ from erlfit.estimation import (
     score_ab,
     standard_errors,
 )
-from erlfit.submodels import DEFAULT_COMPARE, MODELS, get_model
+from erlfit.submodels import DEFAULT_COMPARE, MODELS, PARAM_NAMES, get_model
 
 EXP_BASE = BaselineParams(1.0, 0.5, 2.0)
 EXP_POINT = ErlParams(1.0, 1.0, EXP_BASE)
@@ -132,6 +133,23 @@ class TestRowsKernel:
             else:
                 assert got == math.inf
         assert underflows >= 50
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 12: ln K = ln(-expm1(-T)) loses the digits of e^-T where K rounds to 1",
+    )
+    def test_edge_estimate_against_mpmath(self):
+        # compare's ERLD estimate on the bundled data, where a e^-T(x_1) is
+        # near 1; mpmath at 60 digits gives -165.48955844148649
+        row = (
+            10686427128827.076,
+            0.0012581886605270633,
+            0.024999997691588803,
+            0.10386724553124053,
+            2269.5488940249406,
+        )
+        got = _nll(np.array([row]), load_synthetic().values)[0]
+        assert got == pytest.approx(-165.48955844148649, rel=1e-12)
 
     def test_objective_box_and_nan(self):
         data = Dataset(erl_sample(300, RECOVERY_POINT, seed=3))
@@ -491,6 +509,40 @@ class TestStandardErrors:
         for idx in (1, 2):
             ratio = ses[4800][idx] / ses[1200][idx]
             assert 0.375 <= ratio <= 0.625
+
+    @pytest.mark.parametrize("name", ["RLD", "ExpRLD"])
+    def test_against_mpmath_hessian(self, name):
+        # interior optima; the reference inverts the Hessian of the nll
+        # that mpmath differentiates at 30 digits
+        law = ErlParams(1.0, 1.0, BaselineParams(1.2, 1.4, 0.8))
+        data = Dataset(erl_sample(100, law, seed=42))
+        spec = get_model(name)
+        fit = standard_errors(fit_mle(spec, data, FitConfig(starts=6, seed=0)), data)
+        with mp.workdps(30):
+            x = [mp.mpf(v) for v in data.values.tolist()]
+
+            def mp_nll(*free):
+                full = dict(spec.fixed_map, **dict(zip(spec.free_names, free)))
+                a, b, theta, lam, beta = (mp.mpf(full[p]) for p in PARAM_NAMES)
+                total = -len(x) * (mp.log(beta * lam / theta) - mp.log(mp.beta(a, b)))
+                for xi in x:
+                    log_v = mp.log((theta + xi) / theta)
+                    t = beta / 2 * mp.exp(2 * lam * log_v)
+                    total -= (2 * lam - 1) * log_v + (a - 1) * mp.log(-mp.expm1(-t)) - b * t
+                return total
+
+            free = spec.extract(fit.params)
+            k = len(free)
+            hess = mp.matrix(k, k)
+            for i in range(k):
+                for j in range(i, k):
+                    order = [0] * k
+                    order[i] += 1
+                    order[j] += 1
+                    hess[i, j] = hess[j, i] = mp.diff(mp_nll, free, order)
+            cov = mp.inverse(hess)
+            ref = [float(mp.sqrt(cov[i, i])) for i in range(k)]
+        assert fit.se == pytest.approx(ref, rel=1e-4)
 
     def test_requires_converged_fit(self):
         data = Dataset(np.array([0.1, 0.5, 1.0, 2.0]))
