@@ -220,10 +220,10 @@ def run_gof(data: Dataset, params: ErlParams, model_name: str, fitted_nll: float
     }
 
 
-def run_curves(params: ErlParams, rows: int = 512) -> dict:
-    """Distribution curves on a quantile-adaptive grid from the 0.001
-    to the 0.999 quantile."""
-    probs = np.linspace(0.001, 0.999, rows)
+def run_curves(params: ErlParams) -> dict:
+    """Distribution curves on a quantile-adaptive grid of 512 points
+    from the 0.001 to the 0.999 quantile."""
+    probs = np.linspace(0.001, 0.999, 512)
     x = np.asarray(erl_quantile(probs, params))
     return {
         "params": _params_dict(params),

@@ -15,7 +15,6 @@ PARAM_NAMES = ("a", "b", "theta", "lam", "beta")
 
 # external spelling used in CLI flags, JSON reports and CSV headers
 PARAM_LABELS = {"a": "a", "b": "b", "theta": "theta", "lam": "lambda", "beta": "beta"}
-LABEL_TO_PARAM = {label: name for name, label in PARAM_LABELS.items()}
 
 
 @dataclass(frozen=True)
@@ -66,11 +65,12 @@ class ModelSpec:
         full = dict(zip(PARAM_NAMES, params.values()))
         return tuple(full[name] for name in self.free_names)
 
-    def admits(self, params: ErlParams, rtol: float = 1e-9) -> bool:
-        """True if `params` satisfies this spec's fixed constraints."""
+    def admits(self, params: ErlParams) -> bool:
+        """True if `params` satisfies this spec's fixed constraints, each
+        to 1e-9 relative."""
         full = dict(zip(PARAM_NAMES, params.values()))
         return all(
-            abs(full[name] - value) <= rtol * max(1.0, abs(value))
+            abs(full[name] - value) <= 1e-9 * max(1.0, abs(value))
             for name, value in self.fixed
         )
 

@@ -6,7 +6,6 @@ from erlfit.core import ErlParams, normalization_check
 from erlfit.baseline import BaselineParams
 from erlfit.submodels import (
     DEFAULT_COMPARE,
-    LABEL_TO_PARAM,
     MODELS,
     PARAM_LABELS,
     ModelSpec,
@@ -107,8 +106,3 @@ class TestModelSpec:
 class TestLabels:
     def test_lambda_spelling(self):
         assert PARAM_LABELS["lam"] == "lambda"
-        assert LABEL_TO_PARAM["lambda"] == "lam"
-
-    def test_roundtrip(self):
-        for name, label in PARAM_LABELS.items():
-            assert LABEL_TO_PARAM[label] == name
