@@ -31,8 +31,8 @@ sorted simplex and values bit for bit as they were, so that every later
 step would repeat it; it ends as at maxiter).  Each start takes exactly
 scipy's default Nelder-Mead steps, so a fit is the one a loop over
 scipy.optimize.minimize would give.  On the bundled data, compare at
-seed 0 takes 2,595 lock-step steps and 5,355 kernel calls carrying
-118,359 parameter rows.
+seed 0 takes 1,897 lock-step steps and 4,254 kernel calls carrying
+120,412 parameter rows.
 
 fit_ladder fits several models this way in one run, whatever their
 numbers k of free parameters: _nelder_mead tells the objective which
@@ -41,10 +41,15 @@ own model's parameter map, and all rows go into one kernel call.  A
 start joins the run as soon as its point exists: the heuristic and the
 draws of every model at once, a warm start from the optimum of a model
 with fewer free parameters when that fit is final, and a model's polish
-when its last start has finished.  Since a kernel row does not depend
-on the batch it is evaluated in, and each model's runs are reduced in
-its own start order, each model's fit is exactly the one it gets alone;
-fit_mle is fit_ladder of one model.
+as soon as it has a provisional winner, the first lowest of its runs so
+far.  When a later run wins, the running polish ends and a new one
+starts from the new winner; a fit is final once all its runs and the
+polish from its final winner have finished.  Since a kernel row does not
+depend on the batch it is evaluated in, a start's steps depend on its
+own point alone, so that polish is the one started after the last run,
+and each model's runs are reduced in its own start order: each model's
+fit is exactly the one it gets alone; fit_mle is fit_ladder of one
+model.
 
 Standard errors come from a centered finite-difference Hessian in the
 original parameterization, its stencil built as arrays and evaluated in
@@ -270,11 +275,17 @@ def fit_ladder(
     All of it is one _nelder_mead run, in which each start joins as soon
     as its point exists: the heuristic, the draws and extra_starts at
     once, a warm start when the fit it comes from is final, and a spec's
-    polish when its last start has finished.  A start takes the same
-    steps whatever else shares the run, and each spec's runs are reduced
-    in the order above (the first lowest value wins, then the polish if
-    it is lower still), so each result is the fit of its spec alone from
-    those starts.  Deterministic for a fixed cfg.seed.
+    polish from its provisional winner, the first lowest of its finished
+    runs, as soon as there is one.  When a later run becomes the winner,
+    the running polish ends (it leaves the run with no result) and a new
+    one starts from the new winner.  A fit is final when all its runs and
+    the polish from its final winner have finished, never later than if
+    the polish had waited for the last run.  A start takes the same steps
+    whatever else shares the run and whenever it joins, and each spec's
+    runs are reduced in the order above (the first lowest value wins,
+    then the polish if it is lower still), so each result is the fit of
+    its spec alone from those starts.  Deterministic for a fixed
+    cfg.seed.
     """
     for spec in specs:
         if data.n <= spec.free_count:
@@ -314,71 +325,95 @@ def fit_ladder(
         points += [z for z in (warm(model, p) for p in extra_starts or ()) if z is not None]
         candidates += [(model, entry, z) for entry, z in enumerate(points)]
         runs.append([None] * (len(points) + len(lower[model])))
+    # per spec: its provisional winner, the start of the polish from it
+    # and that polish's OptimizeResult once it has finished
     best: list[Optional[optimize.OptimizeResult]] = [None] * len(specs)
+    polish: list[Optional[int]] = [None] * len(specs)
+    polished: list[Optional[optimize.OptimizeResult]] = [None] * len(specs)
     fits: list[Optional[FitResult]] = [None] * len(specs)
     # (spec, entry in runs, or None for a polish) of every start, in the
     # order the starts join the run, and the specs as an array for f
     roles: list[tuple[int, Optional[int]]] = []
     owners = np.empty(0, dtype=np.intp)
 
-    def launch(candidates) -> list[np.ndarray]:
-        """The points of the candidates (spec, entry, z) that are finite,
-        and the polish of every spec whose starts have all finished."""
+    def launch(todo) -> tuple[list[np.ndarray], list[int]]:
+        """The points of the starts that join now: the candidates (spec,
+        entry, z) in todo that are finite, a polish from every new
+        provisional winner and the finite warm starts from every fit that
+        is now final; and the polishes that end because their spec's
+        provisional winner changed."""
         nonlocal owners
-        points = []
-        if candidates:
-            models = np.array([model for model, _entry, _z in candidates], dtype=np.intp)
-            finite = np.isfinite(objective(_pad([z for *_, z in candidates]), models))
-            for (model, entry, z), ok in zip(candidates, finite):
-                if ok:
-                    roles.append((model, entry))
-                    points.append(z)
-                else:
-                    runs[model][entry] = False
-        for model, spec_runs in enumerate(runs):
-            if best[model] is None and None not in spec_runs:
-                finished = [run for run in spec_runs if run is not False]
+        points, ended = [], []
+        while True:
+            if todo:
+                models = np.array([model for model, _entry, _z in todo], dtype=np.intp)
+                finite = np.isfinite(objective(_pad([z for *_, z in todo]), models))
+                for (model, entry, z), ok in zip(todo, finite):
+                    if ok:
+                        roles.append((model, entry))
+                        points.append(z)
+                    else:
+                        runs[model][entry] = False
+                todo = []
+            for model, spec_runs in enumerate(runs):
+                if fits[model] is not None:
+                    continue
+                finished = [run for run in spec_runs if run is not None and run is not False]
                 if not finished:
-                    raise ValueError(f"{specs[model].name}: no admissible starting point found")
+                    if None not in spec_runs:
+                        raise ValueError(f"{specs[model].name}: no admissible starting point found")
+                    continue
                 # a fresh simplex around the winner often shaves the last
-                # little bit the first pass left on the table
-                best[model] = min(finished, key=lambda run: run.fun)
-                roles.append((model, None))
-                points.append(best[model].x)
+                # little bit the first pass left on the table; it starts
+                # from the first lowest run so far and again whenever that
+                # changes, so the one from the final winner is never late
+                lead = min(finished, key=lambda run: run.fun)
+                if lead is not best[model]:
+                    if polish[model] is not None:
+                        ended.append(polish[model])
+                    best[model], polish[model], polished[model] = lead, len(roles), None
+                    roles.append((model, None))
+                    points.append(lead.x)
+                    continue
+                if polished[model] is None or None in spec_runs:
+                    continue
+                run = polished[model]
+                final = run if run.fun < lead.fun else lead
+                converged = run.success or any(r.success for r in finished)
+                row = values_at(final.x[None, :], np.array([model]))[0]
+                fits[model] = FitResult(
+                    spec=specs[model],
+                    params=ErlParams.from_values(*row.tolist()),
+                    nll=float(final.fun),
+                    n=data.n,
+                    k=specs[model].free_count,
+                    converged=bool(converged),
+                )
+                for other, sources in enumerate(lower):
+                    if model in sources:
+                        z = warm(other, fits[model].params)
+                        entry = len(runs[other]) - len(sources) + sources.index(model)
+                        if z is None:
+                            runs[other][entry] = False
+                        else:
+                            todo.append((other, entry, z))
+            if not todo:
+                break
         owners = np.array([model for model, _entry in roles], dtype=np.intp)
-        return points
+        return points, ended
 
-    def join(done) -> list[np.ndarray]:
-        candidates = []
+    def join(done) -> tuple[list[np.ndarray], list[int]]:
         for start, run in done:
             model, entry = roles[start]
-            if entry is not None:
+            if entry is None:
+                polished[model] = run
+            else:
                 runs[model][entry] = run
-                continue
-            final = run if run.fun < best[model].fun else best[model]
-            converged = run.success or any(r is not False and r.success for r in runs[model])
-            row = values_at(final.x[None, :], np.array([model]))[0]
-            fits[model] = FitResult(
-                spec=specs[model],
-                params=ErlParams.from_values(*row.tolist()),
-                nll=float(final.fun),
-                n=data.n,
-                k=specs[model].free_count,
-                converged=bool(converged),
-            )
-            for other, sources in enumerate(lower):
-                if model in sources:
-                    z = warm(other, fits[model].params)
-                    entry = len(runs[other]) - len(sources) + sources.index(model)
-                    if z is None:
-                        runs[other][entry] = False
-                    else:
-                        candidates.append((other, entry, z))
-        return launch(candidates)
+        return launch([])
 
     _nelder_mead(
         lambda z, starts: objective(z, owners[starts]),
-        launch(candidates),
+        launch(candidates)[0],
         _MAX_ITERS,
         _FATOL,
         join=join,

@@ -107,7 +107,7 @@ def _first_simplices(f, points: Sequence[np.ndarray], ids: np.ndarray, width: in
 
 def _nelder_mead(
     f, x0: Sequence[np.ndarray], maxiter: int, fatol: float, join=None
-) -> list[optimize.OptimizeResult]:
+) -> list[Optional[optimize.OptimizeResult]]:
     """Nelder-Mead from every start point in x0 in lock-step, with starts
     joining while the run goes on.
 
@@ -119,8 +119,10 @@ def _nelder_mead(
     points of x0 first, and may differ in dimension: w is the largest so
     far, and narrower points are zero-padded on the right.  join(done),
     if given, is called with the (start, OptimizeResult) pairs of the
-    starts that have just finished and returns the points of the starts
-    that join now.
+    starts that have just finished and returns (points, ended): the
+    points of the starts that join now, and the starts that end now.  An
+    ended start leaves the arrays at once and gets no result; ending a
+    start that has already finished or ended changes nothing.
 
     Every start takes exactly the steps of
     scipy.optimize.minimize(method="Nelder-Mead") with options maxiter,
@@ -134,8 +136,9 @@ def _nelder_mead(
     simplex and values are bit for bit those before it.  Every later step
     would repeat that one, so such a start ends with nit = maxiter and
     success False, as scipy's run does.  Returns one OptimizeResult (x,
-    fun, nit, success) per start, in start order; success means it
-    converged before maxiter, as in scipy.
+    fun, nit, success) per start, in start order, and None for a start
+    that join ended; success means it converged before maxiter, as in
+    scipy.
     """
     results: list = []
     width = 0
@@ -187,21 +190,20 @@ def _nelder_mead(
                     )
                     results[ids[i]] = run
                     done.append((int(ids[i]), run))
+                if join is not None:
+                    points, ended = join(done)
+                    leave |= np.isin(ids, ended)
                 keep = ~leave
                 sim, fsim, ids, nit, dims = sim[keep], fsim[keep], ids[keep], nit[keep], dims[keep]
                 layout = _Layout(dims, width)
-                if join is not None:
-                    points = list(join(done))
-                    if points:
-                        continue  # a joining start is tested before its first step
+                if points:
+                    continue  # a joining start is tested before its first step
                 first, f_best = layout.first, f_best[keep]
             if not len(ids):
                 break
             # scipy's centroid np.add.reduce(sim[:-1], 0) / d, added in the
             # same order; the padding slots add zeros first
-            xbar = sim[:, 0].copy()
-            for slot in range(1, width):
-                xbar += sim[:, slot]
+            xbar = np.add.reduce(sim[:, :-1], axis=1)
             xbar /= layout.per_dim
             worst = sim[:, -1]
             xr = (1 + _RHO) * xbar - _RHO * worst

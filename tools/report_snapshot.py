@@ -53,6 +53,11 @@ def runs(out: pathlib.Path) -> list[tuple[str, list[str]]]:
         (f"compare_seed{seed}.json", ["compare", "--input", sample, "--seed", str(seed)])
         for seed in (1, 2, 4, 5, 6, 7, 8, 9)
     ]
+    # a fit of one model polishes without warm starts from lower levels
+    todo += [
+        (f"fit_{name}.json", ["fit", "--input", sample, "--models", name])
+        for name in ("ExpLD", "RLD", "BLD", "BRD", "ExpRLD", "LRLD")
+    ]
     for seed in (0, 1):
         path = out / f"input_n2000_seed{seed}.txt"
         write_values(path, draw(FIT_POINT, 2000, seed))
