@@ -255,28 +255,23 @@ def _objective(specs: Sequence[ModelSpec], data: Dataset):
 
 
 def fit_ladder(
-    specs: Sequence[ModelSpec],
-    data: Dataset,
-    cfg: FitConfig = FitConfig(),
-    *,
-    extra_starts: Optional[Sequence[ErlParams]] = None,
+    specs: Sequence[ModelSpec], data: Dataset, cfg: FitConfig = FitConfig()
 ) -> list[FitResult]:
     """Multi-start Nelder-Mead maximum likelihood for every spec, in one
     lock-step run; one FitResult per spec, in order.
 
     Each spec gets the starts of a fit of its own, in this order: the
     span heuristic; cfg.starts - 1 seeded log-uniform draws, the same for
-    every spec with its number k of free parameters; every point of
-    extra_starts that it admits; and the optimum of every spec with
-    fewer free parameters that it admits (a warm start), in the order of
-    specs.  A start whose likelihood is not finite is dropped.  The best
-    run then gets one polish restart.
+    every spec with its number k of free parameters; and the optimum of
+    every spec with fewer free parameters that it admits (a warm start),
+    in the order of specs.  A start whose likelihood is not finite is
+    dropped.  The best run then gets one polish restart.
 
     All of it is one _nelder_mead run, in which each start joins as soon
-    as its point exists: the heuristic, the draws and extra_starts at
-    once, a warm start when the fit it comes from is final, and a spec's
-    polish from its provisional winner, the first lowest of its finished
-    runs, as soon as there is one.  When a later run becomes the winner,
+    as its point exists: the heuristic and the draws at once, a warm
+    start when the fit it comes from is final, and a spec's polish from
+    its provisional winner, the first lowest of its finished runs, as
+    soon as there is one.  When a later run becomes the winner,
     the running polish ends (it leaves the run with no result) and a new
     one starts from the new winner.  A fit is final when all its runs and
     the polish from its final winner have finished, never later than if
@@ -284,8 +279,9 @@ def fit_ladder(
     whatever else shares the run and whenever it joins, and each spec's
     runs are reduced in the order above (the first lowest value wins,
     then the polish if it is lower still), so each result is the fit of
-    its spec alone from those starts.  Deterministic for a fixed
-    cfg.seed.
+    its spec alone from those starts.  A fit is converged when the run
+    it reports, that winner or the polish, met the stopping rule before
+    maxiter.  Deterministic for a fixed cfg.seed.
     """
     for spec in specs:
         if data.n <= spec.free_count:
@@ -322,7 +318,6 @@ def fit_ladder(
     for model, spec in enumerate(specs):
         heuristic = [math.log(span) if name == "theta" else 0.0 for name in spec.free_names]
         points = [np.array(heuristic), *draws[spec.free_count]]
-        points += [z for z in (warm(model, p) for p in extra_starts or ()) if z is not None]
         candidates += [(model, entry, z) for entry, z in enumerate(points)]
         runs.append([None] * (len(points) + len(lower[model])))
     # per spec: its provisional winner, the start of the polish from it
@@ -379,7 +374,6 @@ def fit_ladder(
                     continue
                 run = polished[model]
                 final = run if run.fun < lead.fun else lead
-                converged = run.success or any(r.success for r in finished)
                 row = values_at(final.x[None, :], np.array([model]))[0]
                 fits[model] = FitResult(
                     spec=specs[model],
@@ -387,7 +381,7 @@ def fit_ladder(
                     nll=float(final.fun),
                     n=data.n,
                     k=specs[model].free_count,
-                    converged=bool(converged),
+                    converged=final.success,
                 )
                 for other, sources in enumerate(lower):
                     if model in sources:
@@ -421,21 +415,13 @@ def fit_ladder(
     return fits
 
 
-def fit_mle(
-    spec: ModelSpec,
-    data: Dataset,
-    cfg: FitConfig = FitConfig(),
-    *,
-    extra_starts: Optional[Sequence[ErlParams]] = None,
-) -> FitResult:
+def fit_mle(spec: ModelSpec, data: Dataset, cfg: FitConfig = FitConfig()) -> FitResult:
     """Multi-start Nelder-Mead maximum likelihood for one model spec:
-    fit_ladder of spec alone.
-
-    Deterministic for a fixed cfg.seed.  extra_starts may carry full
-    parameter points (e.g. fitted sub-models) used as additional warm
-    starts when they satisfy this spec's constraints.
+    fit_ladder of spec alone, so its starts are the span heuristic and
+    the seeded draws, and it is converged when its reported run is.
+    Deterministic for a fixed cfg.seed.
     """
-    (fit,) = fit_ladder([spec], data, cfg, extra_starts=extra_starts)
+    (fit,) = fit_ladder([spec], data, cfg)
     return fit
 
 

@@ -444,7 +444,7 @@ class TestConvergenceFailure:
     def test_exit_two_and_report_still_written(self, data_file, tmp_path, monkeypatch):
         sham_params = ErlParams(1.0, 1.0, BaselineParams(1.0, 1.0, 1.0))
 
-        def never_converges(specs, data, cfg, extra_starts=None):
+        def never_converges(specs, data, cfg):
             return [FitResult(spec=spec, params=sham_params, nll=150.0,
                               n=data.n, k=spec.free_count, converged=False)
                     for spec in specs]

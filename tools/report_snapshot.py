@@ -53,10 +53,11 @@ def runs(out: pathlib.Path) -> list[tuple[str, list[str]]]:
         (f"compare_seed{seed}.json", ["compare", "--input", sample, "--seed", str(seed)])
         for seed in (1, 2, 4, 5, 6, 7, 8, 9)
     ]
-    # a fit of one model polishes without warm starts from lower levels
+    # a fit of one model polishes without warm starts from lower levels;
+    # ERLD's is the fit behind gof_erld, shown here with its se and criteria
     todo += [
         (f"fit_{name}.json", ["fit", "--input", sample, "--models", name])
-        for name in ("ExpLD", "RLD", "BLD", "BRD", "ExpRLD", "LRLD")
+        for name in ("ExpLD", "RLD", "BLD", "BRD", "ExpRLD", "LRLD", "ERLD")
     ]
     for seed in (0, 1):
         path = out / f"input_n2000_seed{seed}.txt"
