@@ -15,6 +15,8 @@ exp(2 lam ln v + ln(beta / 2)), with ln T from _log_exponent, which
 stays a double wherever T is one and reuses the ln v the density needs
 anyway.  At theta = 1, lam = 0.5, beta = 2 the law collapses to a unit
 exponential shifted to start at -1, which the tests lean on heavily.
+The baseline is the Weibull law with location -theta, shape k = 2 lam
+and scale sigma = theta (2/beta)^(1/k), since T = ((x + theta)/sigma)^k.
 """
 
 from __future__ import annotations

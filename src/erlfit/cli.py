@@ -1,7 +1,9 @@
 """Batch command-line interface.
 
-Subcommands: fit, compare, gof, sample, curves, moments.  Input files
-hold one numeric value per line (or a single-column CSV whose optional
+Subcommands: fit, compare, gof, sample, curves, moments.  Each fit and
+compare model record carries KS, its p-value, CvM and AD at its
+estimate; gof gives them for a fixed law (--params).  Input files hold
+one numeric value per line (or a single-column CSV whose optional
 header line is skipped).  Reports are JSON (full float precision) or
 CSV (6 significant digits), and each CSV table is read off its JSON
 report: one row per model record for fit and compare, the list-valued
@@ -15,7 +17,6 @@ command is byte-reproducible.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -41,7 +42,6 @@ from .estimation import (
     FitConfig,
     FitResult,
     fit_ladder,
-    fit_mle,
     nll,
     standard_errors,
 )
@@ -76,6 +76,7 @@ REPORT_SCHEMA = {
                 "required": [
                     "name", "estimates", "fixed", "se",
                     "nll", "aic", "caic", "hqic", "bic", "converged",
+                    "ks", "ks_pvalue", "cvm", "ad",
                 ],
                 "properties": {
                     "name": {"type": "string"},
@@ -97,6 +98,10 @@ REPORT_SCHEMA = {
                     "hqic": {"type": "number"},
                     "bic": {"type": "number"},
                     "converged": {"type": "boolean"},
+                    "ks": {"type": "number"},
+                    "ks_pvalue": {"type": "number"},
+                    "cvm": {"type": "number"},
+                    "ad": {"type": "number"},
                 },
             },
         },
@@ -154,7 +159,13 @@ def _data_summary(data: Dataset) -> dict:
     }
 
 
-def _model_record(fit: FitResult) -> dict:
+def _edf_statistics(data: Dataset, params: ErlParams) -> dict:
+    """KS, its p-value, CvM and AD of the law at params against data."""
+    report = gof_report(data, lambda x: erl_cdf(x, params))
+    return {"ks": report.ks, "ks_pvalue": report.ks_pvalue, "cvm": report.cvm, "ad": report.ad}
+
+
+def _model_record(fit: FitResult, data: Dataset) -> dict:
     spec = fit.spec
     crit = info_criteria(fit.nll, fit.k, fit.n)
     estimates = {
@@ -174,6 +185,7 @@ def _model_record(fit: FitResult) -> dict:
         "hqic": crit.hqic,
         "bic": crit.bic,
         "converged": fit.converged,
+        **_edf_statistics(data, fit.params),
     }
 
 
@@ -198,7 +210,7 @@ def run_compare(data: Dataset, specs: Sequence[ModelSpec], cfg: FitConfig) -> di
     """Fit every requested spec and build the comparison report,
     sorted ascending by AIC with the minimal-AIC model selected."""
     fits = _fit_models(data, specs, cfg)
-    records = [_model_record(f) for f in fits]
+    records = [_model_record(f, data) for f in fits]
     records.sort(key=lambda r: r["aic"])
     return {
         "data_summary": _data_summary(data),
@@ -207,16 +219,15 @@ def run_compare(data: Dataset, specs: Sequence[ModelSpec], cfg: FitConfig) -> di
     }
 
 
-def run_gof(data: Dataset, params: ErlParams, model_name: str, fitted_nll: float) -> dict:
-    report = gof_report(data, lambda x: erl_cdf(x, params))
+def run_gof(data: Dataset, params: ErlParams) -> dict:
     return {
         "data_summary": _data_summary(data),
         "model": {
-            "name": model_name,
+            "name": "fixed",
             "params": _params_dict(params),
-            "nll": fitted_nll,
+            "nll": nll(params, data),
         },
-        "gof": dataclasses.asdict(report),
+        "gof": {"n": data.n, **_edf_statistics(data, params)},
     }
 
 
@@ -442,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("fit", "fit one model by maximum likelihood", data=True, models=True, params=False, n=False)
     add("compare", "fit several models and rank them by AIC", data=True, models=True, params=False, n=False)
-    add("gof", "goodness-of-fit statistics for a fitted or fixed model", data=True, models=True, params=True, n=False)
+    add("gof", "goodness-of-fit statistics for a fixed law", data=True, models=False, params=True, n=False)
     add("sample", "draw from the family", data=False, models=False, params=True, n=True)
     add("curves", "pdf/cdf/survival/hazard table over the working range", data=False, models=False, params=True, n=False)
     add("moments", "moments and shape summaries of the family", data=False, models=False, params=True, n=False)
@@ -470,26 +481,17 @@ def _resolve_models(text: Optional[str], command: str) -> tuple[ModelSpec, ...]:
 
 def _dispatch(args: argparse.Namespace) -> tuple[dict, bool]:
     """Returns (report, all_converged)."""
-    cfg = FitConfig(seed=args.seed)
     if args.command in ("fit", "compare"):
         data = ingest(args.input)
         specs = _resolve_models(args.models, args.command)
-        report = run_compare(data, specs, cfg)
+        report = run_compare(data, specs, FitConfig(seed=args.seed))
         ok = all(record["converged"] for record in report["models"])
         return report, ok
-    if args.command == "gof":
-        if args.params is not None and args.models is not None:
-            raise InputError("gof takes --models or --params, not both")
-        data = ingest(args.input)
-        if args.params is not None:
-            params = _parse_params(args.params)
-            return run_gof(data, params, "fixed", nll(params, data)), True
-        (spec,) = _resolve_models(args.models, "gof")
-        fit = fit_mle(spec, data, cfg)
-        return run_gof(data, fit.params, spec.name, fit.nll), fit.converged
     if args.params is None:
         raise InputError(f"{args.command} requires --params")
     params = _parse_params(args.params)
+    if args.command == "gof":
+        return run_gof(ingest(args.input), params), True
     if args.command == "sample":
         if args.n < 1:
             raise InputError("--n must be a positive integer")

@@ -1,7 +1,8 @@
 """The five-parameter extended Rayleigh-Lomax family.
 
-The law is the beta-generated lift of the Rayleigh-Lomax baseline: with
-K and k the baseline cdf/pdf and B(a, b) the beta function,
+The law is the beta-generated lift of the Rayleigh-Lomax baseline, a
+Weibull law (see baseline), so it is the beta-Weibull law with location
+-theta: with K and k the baseline cdf/pdf and B(a, b) the beta function,
 
     g(x) = K(x)**(a-1) * (1 - K(x))**(b-1) * k(x) / B(a, b)
     G(x) = I_{K(x)}(a, b)

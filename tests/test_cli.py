@@ -11,6 +11,7 @@ import math
 import warnings
 
 import jsonschema
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,8 +21,10 @@ from erlfit import cli
 from erlfit.baseline import BaselineParams
 from erlfit.cli import REPORT_SCHEMA, ingest, main
 from erlfit.core import ErlParams, erl_sample
+from erlfit.datasets import synthetic_path
 from erlfit.errors import InputError
 from erlfit.estimation import FitResult
+from erlfit.submodels import PARAM_LABELS
 
 # a=b=1 with baseline (1, 0.5, 2) collapses to a unit-rate shifted
 # exponential; a=2 squares its cdf and halves the mean to 1/2
@@ -102,7 +105,7 @@ class TestUsageErrors:
         (["frobnicate"], "invalid choice"),
         (["fit", "--input", "DATA", "--models", "Weibull"], "known models"),
         (["fit", "--input", "DATA", "--models", "RLD,ExpLD"], "exactly one model"),
-        (["gof", "--input", "DATA", "--models", "ERLD,RLD"], "gof takes exactly one model"),
+        (["gof", "--input", "DATA", "--models", "ERLD"], "unrecognized arguments: --models"),
         (["fit", "--input", "DATA", "--models", " , "], "at least one model"),
         (["compare", "--input", "DATA", "--models", "RLD,rld"], "names RLD more than once"),
         (["sample", "--params", "2,1,1,0.5", "--n", "5"], "five comma-separated"),
@@ -137,13 +140,6 @@ class TestUsageErrors:
         assert "erlfit: input error" in err and "non-negative" in err
         assert not out.exists()
 
-    def test_gof_takes_models_or_params(self, data_file, tmp_path, capsys):
-        out = tmp_path / "report.json"
-        argv = ["gof", "--input", data_file, "--models", "RLD", "--params", EXP_PARAMS]
-        assert main([*argv, "--output", str(out)]) == 1
-        assert capsys.readouterr().err == "erlfit: input error: gof takes --models or --params, not both\n"
-        assert not out.exists()
-
     def test_missing_input_file(self, tmp_path, capsys):
         assert main(["fit", "--input", str(tmp_path / "gone.txt")]) == 1
         assert "cannot read input file" in capsys.readouterr().err
@@ -151,8 +147,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv,fragment", [
         (["compare"], "ExpLD: need at least 4 observations, got 3"),
         (["fit", "--models", "RLD"], "RLD: need at least 4 observations, got 3"),
-        (["gof", "--models", "ERLD"], "ERLD: need at least 6 observations, got 3"),
-    ], ids=["compare", "fit", "gof"])
+    ], ids=["compare", "fit"])
     def test_too_few_observations(self, argv, fragment, tmp_path, capsys):
         data = tmp_path / "three.txt"
         data.write_text("0.5\n1.5\n2.5\n")
@@ -215,10 +210,10 @@ class TestFit:
         assert rc == 0
         header, row = out.read_text().strip().splitlines()
         assert header == ("model,a,se_a,b,se_b,theta,se_theta,lambda,se_lambda,"
-                          "beta,se_beta,nll,aic,caic,hqic,bic,converged")
+                          "beta,se_beta,nll,aic,caic,hqic,bic,converged,ks,ks_pvalue,cvm,ad")
         cells = row.split(",")
         assert cells[0] == "RLD"
-        assert cells[-1] == "true"
+        assert cells[16] == "true"
         # fixed parameters carry their value and a blank standard error
         assert float(cells[1]) == 1.0 and cells[2] == ""
         assert float(cells[5]) == pytest.approx(1.036, abs=5e-3)
@@ -227,14 +222,14 @@ class TestFit:
     def test_csv_follows_the_record(self, data_file, tmp_path, monkeypatch):
         # a field added to the JSON record becomes the last CSV column
         record = cli._model_record
-        monkeypatch.setattr(cli, "_model_record", lambda fit: {**record(fit), "extra": 0.125})
+        monkeypatch.setattr(cli, "_model_record", lambda fit, data: {**record(fit, data), "extra": 0.125})
         out = tmp_path / "compare.csv"
         assert main(["compare", "--input", data_file, "--models", "RLD,ExpLD",
                      "--format", "csv", "--output", str(out)]) == 0
         header, *rows = out.read_text().splitlines()
-        assert header.endswith(",converged,extra")
+        assert header.endswith(",converged,ks,ks_pvalue,cvm,ad,extra")
         assert len(rows) == 2
-        assert all(row.endswith(",true,0.125") for row in rows)
+        assert all(row.split(",")[16] == "true" and row.endswith(",0.125") for row in rows)
 
 
 @pytest.fixture(scope="module")
@@ -283,17 +278,65 @@ class TestGof:
         assert stats["cvm"] == pytest.approx(0.052146644035807106, abs=1e-9)
         assert stats["ad"] == pytest.approx(0.3697592998847483, abs=1e-9)
 
-    def test_fitted_mode_uses_named_model(self, data_file, tmp_path):
+    def test_fitted_mode_uses_named_model(self, fit_report, data_file, tmp_path):
+        # fit --models RLD carries the EDF statistics of its estimate,
+        # bitwise those of gof --params at the printed estimates
+        (record,) = fit_report[1]["models"]
+        assert record["ks"] < 0.08
+        values = {**record["fixed"], **record["estimates"]}
+        params = ",".join(repr(values[label]) for label in PARAM_LABELS.values())
         out = tmp_path / "gof_fit.json"
-        rc = main(["gof", "--input", data_file, "--models", "RLD",
-                   "--output", str(out)])
-        assert rc == 0
-        report = json.loads(out.read_text())
-        assert report["model"]["name"] == "RLD"
-        assert report["model"]["nll"] == pytest.approx(143.89266, abs=1e-4)
-        # the fitted curve should sit closer to the sample than the
-        # fixed (if close) truth does
-        assert report["gof"]["ks"] < 0.08
+        assert main(["gof", "--input", data_file, "--params", params, "--output", str(out)]) == 0
+        stats = json.loads(out.read_text())["gof"]
+        for key in ("ks", "ks_pvalue", "cvm", "ad"):
+            assert record[key] == stats[key], key
+
+
+def _mp_edf_statistics(x, params):
+    """KS, CvM and AD of the law at params against the sorted x, from an
+    mpmath cdf at 40 digits: I_K(a, b) below K = 1/2, else one minus
+    I_{e^-T}(b, a), with the survival kept apart so that ln(1 - F) keeps
+    its digits where F is near 1."""
+    a, b, theta, lam, beta = (mpmath.mpf(v) for v in params)
+    cdf, sf = [], []
+    with mpmath.workdps(40):
+        for xi in x:
+            t = beta / 2 * ((theta + mpmath.mpf(xi)) / theta) ** (2 * lam)
+            big_k = -mpmath.expm1(-t)
+            if big_k <= 0.5:
+                cdf.append(mpmath.betainc(a, b, 0, big_k, regularized=True))
+                sf.append(1 - cdf[-1])
+            else:
+                sf.append(mpmath.betainc(b, a, 0, mpmath.exp(-t), regularized=True))
+                cdf.append(1 - sf[-1])
+        n = len(x)
+        ks = max(max(mpmath.mpf(i + 1) / n - f, f - mpmath.mpf(i) / n) for i, f in enumerate(cdf))
+        cvm = mpmath.mpf(1) / (12 * n) + mpmath.fsum(
+            (f - mpmath.mpf(2 * i + 1) / (2 * n)) ** 2 for i, f in enumerate(cdf))
+        ad = -n - mpmath.fsum((2 * i + 1) * (mpmath.log(cdf[i]) + mpmath.log(sf[n - 1 - i]))
+                              for i in range(n)) / n
+        return {"ks": float(ks), "cvm": float(cvm), "ad": float(ad)}
+
+
+class TestCompareEdfOracle:
+    """Each compare record's KS, CvM and AD against an mpmath cdf.
+
+    The estimates of ERLD (at the search-box edge) and of LRLD (on its
+    ridge) put T up to about 3,700 at the largest value, where e^-T is
+    not a double; the oracle forms it in mpmath, so it does not share
+    the deep-tail branch of erlfit's cdf."""
+
+    def test_records_against_mpmath(self, tmp_path):
+        out = tmp_path / "compare.json"
+        assert main(["compare", "--input", synthetic_path(), "--seed", "0", "--output", str(out)]) == 0
+        records = json.loads(out.read_text())["models"]
+        assert len(records) == 7
+        x = ingest(synthetic_path()).values
+        for record in records:
+            values = {**record["fixed"], **record["estimates"]}
+            params = [values[label] for label in PARAM_LABELS.values()]
+            for key, expected in _mp_edf_statistics(x, params).items():
+                assert record[key] == pytest.approx(expected, rel=1e-10), (record["name"], key)
 
 
 class TestSample:

@@ -13,6 +13,8 @@ import warnings
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import betainc, betaincinv, betaln
+from scipy.stats import exponweib, weibull_min
 
 from erlfit import specfun
 from erlfit.baseline import (
@@ -417,3 +419,92 @@ class TestNormalization:
     def test_spiky_stress_point(self):
         p = ErlParams(0.801, 5.5, BaselineParams(0.025, 0.113, 0.501))
         assert normalization_check(p) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.fixture(scope="class")
+def beta_weibull_cases():
+    """200 seeded laws with a, b, theta, lam and beta log-uniform in
+    [1e-2, 1e2], each with up to 20 points placed by T log-uniform in
+    [1e-6, 30] (a point where x + theta rounds to 0 is dropped), and the
+    Weibull form of its baseline: location -theta, shape k = 2 lam and
+    scale sigma = theta (2/beta)^(1/k)."""
+    rng = np.random.default_rng(20261020)
+    cases = []
+    for _ in range(200):
+        a, b, theta, lam, beta = np.exp(rng.uniform(math.log(1e-2), math.log(1e2), 5))
+        t = np.exp(rng.uniform(math.log(1e-6), math.log(30.0), 20))
+        k = 2.0 * lam
+        sigma = theta * (2.0 / beta) ** (1.0 / k)
+        x = -theta + sigma * t ** (1.0 / k)
+        weibull = {"c": k, "loc": -theta, "scale": sigma}
+        cases.append((ErlParams.from_values(a, b, theta, lam, beta), x[x + theta > 0], weibull))
+    return cases
+
+
+def _assert_rel(got, ref, keep) -> int:
+    """got equals ref to 1e-9 relative where keep holds; the count checked."""
+    np.testing.assert_allclose(np.asarray(got)[keep], ref[keep], rtol=1e-9, atol=0.0)
+    return int(np.count_nonzero(keep))
+
+
+class TestBetaWeibullOracle:
+    """The family is the beta-Weibull law with location -theta, so scipy's
+    Weibull laws give oracles that share none of erlfit's forms.
+
+    References are compared where they are normal doubles (above 1e-300).
+    The largest errors, a few 1e-12, come from conditioning: b T up to
+    3,000 and 2 lam up to 200 magnify the rounding of x."""
+
+    def test_pdf_is_beta_g_of_weibull(self, beta_weibull_cases):
+        checked = 0
+        for p, x, weibull in beta_weibull_cases:
+            with np.errstate(all="ignore"):
+                ref = np.exp((p.a - 1.0) * weibull_min.logcdf(x, **weibull)
+                             + (p.b - 1.0) * weibull_min.logsf(x, **weibull)
+                             + weibull_min.logpdf(x, **weibull) - betaln(p.a, p.b))
+            checked += _assert_rel(erl_pdf(x, p), ref, ref > 1e-300)
+        assert checked > 2000
+
+    def test_cdf_below_the_median_of_k(self, beta_weibull_cases):
+        checked = 0
+        for p, x, weibull in beta_weibull_cases:
+            big_k = weibull_min.cdf(x, **weibull)
+            ref = betainc(p.a, p.b, big_k)
+            checked += _assert_rel(erl_cdf(x, p), ref, (big_k <= 0.5) & (ref > 1e-300))
+        assert checked > 1000
+
+    def test_survival_above_the_median_of_k(self, beta_weibull_cases):
+        checked = 0
+        for p, x, weibull in beta_weibull_cases:
+            big_k = weibull_min.cdf(x, **weibull)
+            ref = betainc(p.b, p.a, weibull_min.sf(x, **weibull))
+            checked += _assert_rel(erl_survival(x, p), ref, (big_k > 0.5) & (ref > 1e-300))
+        assert checked > 500
+
+    def test_quantile_below_the_median_of_k(self, beta_weibull_cases):
+        # the probabilities are those of the points with K <= 1/2, so
+        # p < I_{1/2}(a, b) and betaincinv never meets its 2.2e-308 floor
+        checked = 0
+        for p, x, weibull in beta_weibull_cases:
+            big_k = weibull_min.cdf(x, **weibull)
+            probs = betainc(p.a, p.b, big_k[big_k <= 0.5])
+            probs = probs[probs > 1e-300]
+            ref = weibull_min.ppf(betaincinv(p.a, p.b, probs), **weibull)
+            checked += _assert_rel(erl_quantile(probs, p), ref, np.ones(ref.shape, bool))
+        assert checked > 1000
+
+    def test_rld_pdf_is_weibull(self, beta_weibull_cases):
+        checked = 0
+        for p, x, weibull in beta_weibull_cases:
+            with np.errstate(all="ignore"):
+                ref = weibull_min.pdf(x, **weibull)
+            checked += _assert_rel(erl_pdf(x, ErlParams(1.0, 1.0, p.base)), ref, ref > 1e-300)
+        assert checked > 2000
+
+    def test_exprld_pdf_is_exponentiated_weibull(self, beta_weibull_cases):
+        checked = 0
+        for p, x, weibull in beta_weibull_cases:
+            with np.errstate(all="ignore"):
+                ref = exponweib.pdf(x, p.a, **weibull)
+            checked += _assert_rel(erl_pdf(x, ErlParams(p.a, 1.0, p.base)), ref, ref > 1e-300)
+        assert checked > 2000

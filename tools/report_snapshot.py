@@ -44,7 +44,6 @@ def runs(out: pathlib.Path) -> list[tuple[str, list[str]]]:
     todo = [
         ("compare_seed0.json", ["compare", "--input", sample, "--seed", "0"]),
         ("compare_seed3.csv", ["compare", "--input", sample, "--seed", "3", "--format", "csv"]),
-        ("gof_erld.json", ["gof", "--input", sample, "--models", "ERLD"]),
         ("gof_params.json", ["gof", "--input", sample, "--params", "2,1.5,1,1,1"]),
     ]
     # with seeds 0 and 3 above, compare is checked at seeds 0-9, so a change
@@ -53,8 +52,7 @@ def runs(out: pathlib.Path) -> list[tuple[str, list[str]]]:
         (f"compare_seed{seed}.json", ["compare", "--input", sample, "--seed", str(seed)])
         for seed in (1, 2, 4, 5, 6, 7, 8, 9)
     ]
-    # a fit of one model polishes without warm starts from lower levels;
-    # ERLD's is the fit behind gof_erld, shown here with its se and criteria
+    # a fit of one model polishes without warm starts from lower levels
     todo += [
         (f"fit_{name}.json", ["fit", "--input", sample, "--models", name])
         for name in ("ExpLD", "RLD", "BLD", "BRD", "ExpRLD", "LRLD", "ERLD")
@@ -75,7 +73,6 @@ def runs(out: pathlib.Path) -> list[tuple[str, list[str]]]:
     p2 = PARAM_SETS["p2"]
     todo += [
         ("gof_params_p2.csv", ["gof", "--input", sample, "--params", p2, "--format", "csv"]),
-        ("gof_erld.csv", ["gof", "--input", sample, "--models", "ERLD", "--format", "csv"]),
         ("curves_p2.csv", ["curves", "--params", p2, "--format", "csv"]),
         ("moments_p2.csv", ["moments", "--params", p2, "--format", "csv"]),
         ("sample_p2.csv", ["sample", "--params", p2, "--n", "100000", "--seed", "7", "--format", "csv"]),
