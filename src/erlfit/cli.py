@@ -10,8 +10,9 @@ report: one row per model record for fit and compare, the list-valued
 columns for curves, the dotted leaves as quantity,value for gof and
 moments, one full-precision draw per line for sample.  Exit codes:
 0 success, 1 input error, 2 at least one requested fit failed to
-converge, 3 internal numerical error.  With a fixed --seed every
-command is byte-reproducible.
+converge, 3 internal numerical error.  fit, compare and sample take
+--seed (seeded starts or draws) and are byte-reproducible for a fixed
+one; gof, curves and moments draw nothing and are deterministic.
 """
 
 from __future__ import annotations
@@ -431,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="erlfit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, *, data: bool, models: bool, params: bool, n: bool):
+    def add(name: str, help_text: str, *, data: bool, models: bool, params: bool, n: bool, seed: bool):
         cmd = sub.add_parser(name, help=help_text)
         if data:
             cmd.add_argument("--input", required=True, help="data file, one value per line")
@@ -446,17 +447,18 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--params", default=None, help="a,b,theta,lambda,beta")
         if n:
             cmd.add_argument("--n", type=int, default=1000, help="number of draws")
-        cmd.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
+        if seed:
+            cmd.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
         cmd.add_argument("--output", default=None, help="write the report here instead of stdout")
         cmd.add_argument("--format", choices=("json", "csv"), default="json")
         return cmd
 
-    add("fit", "fit one model by maximum likelihood", data=True, models=True, params=False, n=False)
-    add("compare", "fit several models and rank them by AIC", data=True, models=True, params=False, n=False)
-    add("gof", "goodness-of-fit statistics for a fixed law", data=True, models=False, params=True, n=False)
-    add("sample", "draw from the family", data=False, models=False, params=True, n=True)
-    add("curves", "pdf/cdf/survival/hazard table over the working range", data=False, models=False, params=True, n=False)
-    add("moments", "moments and shape summaries of the family", data=False, models=False, params=True, n=False)
+    add("fit", "fit one model by maximum likelihood", data=True, models=True, params=False, n=False, seed=True)
+    add("compare", "fit several models and rank them by AIC", data=True, models=True, params=False, n=False, seed=True)
+    add("gof", "goodness-of-fit statistics for a fixed law", data=True, models=False, params=True, n=False, seed=False)
+    add("sample", "draw from the family", data=False, models=False, params=True, n=True, seed=True)
+    add("curves", "pdf/cdf/survival/hazard table over the working range", data=False, models=False, params=True, n=False, seed=False)
+    add("moments", "moments and shape summaries of the family", data=False, models=False, params=True, n=False, seed=False)
     return parser
 
 

@@ -54,7 +54,7 @@ from .baseline import (
     _v_at,
 )
 from .errors import NumericalError
-from .specfun import _log_beta, _on_blocks, inv_reg_inc_beta, log_beta, reg_inc_beta
+from .specfun import _log_beta, _on_blocks, inv_reg_inc_beta, reg_inc_beta
 
 @dataclass(frozen=True)
 class ErlParams:
@@ -138,7 +138,7 @@ def _tail(log_v, t, p: ErlParams, survival: bool) -> np.ndarray:
     out = np.empty(t.shape)
     out[lower] = of_k(p.a, p.b, big_k[lower])
     out[upper] = of_one_minus_k(p.b, p.a, np.exp(-t[upper]))
-    log_b = log_beta(p.a, p.b)
+    log_b = _log_beta(p.a, p.b)
     deep_survival = np.exp(-(p.b * t[deep] + math.log(p.b) + log_b))
     out[deep] = deep_survival if survival else 1.0 - deep_survival
     log_t = _log_exponent(log_v[tiny], p.base.lam, p.base.beta)
@@ -187,13 +187,13 @@ def erl_quantile(prob, p: ErlParams):
         # 1 - K underflows; from T = 700 on, I_{1-K}(b, a) equals
         # (1-K)^b / (b B(a, b)) in doubles, which solves for T directly
         deep = t > 700.0
-        t[deep] = -(np.log1p(-pa[deep]) + math.log(p.b) + log_beta(p.a, p.b)) / p.b
+        t[deep] = -(np.log1p(-pa[deep]) + math.log(p.b) + _log_beta(p.a, p.b)) / p.b
         v = np.asarray(_v_at(t, p.base.lam, p.base.beta))
         # betaincinv likewise stops at 2.2e-308 once K underflows; below
         # 1e-300, I_K(a, b) = K^a / (a B(a, b)) and T = K in doubles, so
         # v = (2 T / beta)^(1 / (2 lam)) comes from ln K without forming K
         tiny = t < 1e-300
-        log_t = (np.log(pa[tiny]) + math.log(p.a) + log_beta(p.a, p.b)) / p.a
+        log_t = (np.log(pa[tiny]) + math.log(p.a) + _log_beta(p.a, p.b)) / p.a
     v[tiny] = np.exp((math.log(2.0 / p.base.beta) + log_t) / (2.0 * p.base.lam))
     # x = theta v - theta in place: erl_sample holds n-sized arrays here
     v *= p.base.theta
@@ -222,7 +222,7 @@ def erl_raw_moment(r: int, p: ErlParams) -> float:
     if r == 0:
         return 1.0
     a, b, theta, lam, beta = p.values()
-    lnb = log_beta(a, b)
+    lnb = _log_beta(a, b)
     # the weight takes y^(a-1) only where it is singular: for large a its
     # moments lose accuracy unflagged (1e-3 at a = 69, b = 200)
     alpha = min(a, 1.0) - 1.0
@@ -326,7 +326,7 @@ def normalization_check(p: ErlParams) -> float:
     through _log_exponent and its ln K = ln(1 - e^-T) through _log1mexp.
     """
     a, b = p.a, p.b
-    lnb = log_beta(a, b)
+    lnb = _log_beta(a, b)
 
     def smooth_part(u: float) -> float:
         if u <= 0.0 or u >= 1.0:

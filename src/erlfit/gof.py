@@ -63,22 +63,40 @@ def _fitted_probs(data: Dataset, cdf: Callable) -> np.ndarray:
     return z
 
 
-def ks_stat(data: Dataset, cdf: Callable) -> float:
-    """Kolmogorov-Smirnov D = sup |F_n - F| over the sorted sample."""
-    z = _fitted_probs(data, cdf)
-    n = data.n
+def _ks(z: np.ndarray) -> float:
+    n = z.size
     i = np.arange(1, n + 1)
     d_plus = np.max(i / n - z)
     d_minus = np.max(z - (i - 1) / n)
     return float(max(d_plus, d_minus))
 
 
-def cvm_stat(data: Dataset, cdf: Callable) -> float:
-    """Cramer-von Mises W^2 = 1/(12n) + sum (F(x_(i)) - (2i-1)/(2n))^2."""
-    z = _fitted_probs(data, cdf)
-    n = data.n
+def _cvm(z: np.ndarray) -> float:
+    n = z.size
     i = np.arange(1, n + 1)
     return float(1.0 / (12.0 * n) + np.sum((z - (2.0 * i - 1.0) / (2.0 * n)) ** 2))
+
+
+def _ad(z: np.ndarray) -> float:
+    clipped = np.clip(z, _AD_CLAMP_LO, _AD_CLAMP_HI)
+    if np.any(clipped != z):
+        message = "ad_stat: fitted cdf hit 0 or 1 at observed points; probabilities clamped"
+        warnings.warn(message, RuntimeWarning, stacklevel=3)  # the caller of ad_stat or gof_report
+    n = z.size
+    i = np.arange(1, n + 1)
+    return float(
+        -n - np.sum((2.0 * i - 1.0) * (np.log(clipped) + np.log1p(-clipped[::-1]))) / n
+    )
+
+
+def ks_stat(data: Dataset, cdf: Callable) -> float:
+    """Kolmogorov-Smirnov D = sup |F_n - F| over the sorted sample."""
+    return _ks(_fitted_probs(data, cdf))
+
+
+def cvm_stat(data: Dataset, cdf: Callable) -> float:
+    """Cramer-von Mises W^2 = 1/(12n) + sum (F(x_(i)) - (2i-1)/(2n))^2."""
+    return _cvm(_fitted_probs(data, cdf))
 
 
 def ad_stat(data: Dataset, cdf: Callable) -> float:
@@ -88,19 +106,7 @@ def ad_stat(data: Dataset, cdf: Callable) -> float:
     logs; clamping any point emits a RuntimeWarning because it means the
     fitted law thinks an observed point is (numerically) impossible.
     """
-    z = _fitted_probs(data, cdf)
-    clipped = np.clip(z, _AD_CLAMP_LO, _AD_CLAMP_HI)
-    if np.any(clipped != z):
-        warnings.warn(
-            "ad_stat: fitted cdf hit 0 or 1 at observed points; probabilities clamped",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    n = data.n
-    i = np.arange(1, n + 1)
-    return float(
-        -n - np.sum((2.0 * i - 1.0) * (np.log(clipped) + np.log1p(-clipped[::-1]))) / n
-    )
+    return _ad(_fitted_probs(data, cdf))
 
 
 def ks_pvalue(d: float, n: int) -> float:
@@ -126,14 +132,10 @@ class GofReport:
 
 
 def gof_report(data: Dataset, cdf: Callable) -> GofReport:
-    d = ks_stat(data, cdf)
-    return GofReport(
-        n=data.n,
-        ks=d,
-        ks_pvalue=ks_pvalue(d, data.n),
-        cvm=cvm_stat(data, cdf),
-        ad=ad_stat(data, cdf),
-    )
+    """KS, its p-value, CvM and AD from one evaluation of cdf at the data."""
+    z = _fitted_probs(data, cdf)
+    d = _ks(z)
+    return GofReport(n=data.n, ks=d, ks_pvalue=ks_pvalue(d, data.n), cvm=_cvm(z), ad=_ad(z))
 
 
 @dataclass(frozen=True)

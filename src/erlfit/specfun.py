@@ -138,10 +138,6 @@ def _log_beta(a: float, b: float) -> float:
 
 def log_beta(a, b):
     """ln B(a, b) for a, b > 0 (see the module docstring for the method)."""
-    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        if not (a > 0.0 and b > 0.0):
-            raise ValueError("log_beta requires a > 0 and b > 0")
-        return _log_beta(float(a), float(b))
     (aa, ba), scalar = _promote(a, b)
     if aa.size and not (np.all(aa > 0.0) and np.all(ba > 0.0)):
         raise ValueError("log_beta requires a > 0 and b > 0")

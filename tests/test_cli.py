@@ -8,6 +8,9 @@ numerics refused to produce a trustworthy answer.
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import jsonschema
@@ -20,10 +23,11 @@ from hypothesis import strategies as st
 from erlfit import cli
 from erlfit.baseline import BaselineParams
 from erlfit.cli import REPORT_SCHEMA, ingest, main
-from erlfit.core import ErlParams, erl_sample
+from erlfit.core import ErlParams, erl_cdf, erl_sample
 from erlfit.datasets import synthetic_path
 from erlfit.errors import InputError
-from erlfit.estimation import FitResult
+from erlfit.estimation import Dataset, FitResult
+from erlfit.gof import ad_stat, cvm_stat, gof_report, ks_pvalue, ks_stat
 from erlfit.submodels import PARAM_LABELS
 
 # a=b=1 with baseline (1, 0.5, 2) collapses to a unit-rate shifted
@@ -106,6 +110,10 @@ class TestUsageErrors:
         (["fit", "--input", "DATA", "--models", "Weibull"], "known models"),
         (["fit", "--input", "DATA", "--models", "RLD,ExpLD"], "exactly one model"),
         (["gof", "--input", "DATA", "--models", "ERLD"], "unrecognized arguments: --models"),
+        # only fit, compare and sample draw random numbers
+        (["gof", "--input", "DATA", "--params", EXP_PARAMS, "--seed", "1"], "unrecognized arguments: --seed"),
+        (["curves", "--params", EXP_PARAMS, "--seed", "1"], "unrecognized arguments: --seed"),
+        (["moments", "--params", EXP_PARAMS, "--seed", "1"], "unrecognized arguments: --seed"),
         (["fit", "--input", "DATA", "--models", " , "], "at least one model"),
         (["compare", "--input", "DATA", "--models", "RLD,rld"], "names RLD more than once"),
         (["sample", "--params", "2,1,1,0.5", "--n", "5"], "five comma-separated"),
@@ -127,10 +135,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["fit", "--input", "DATA"],
         ["compare", "--input", "DATA", "--models", "RLD"],
-        ["gof", "--input", "DATA", "--params", EXP_PARAMS],
         ["sample", "--params", EXP_PARAMS, "--n", "5"],
-        ["curves", "--params", EXP_PARAMS],
-        ["moments", "--params", EXP_PARAMS],
     ], ids=lambda argv: argv[0])
     def test_negative_seed(self, argv, data_file, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -337,6 +342,51 @@ class TestCompareEdfOracle:
             params = [values[label] for label in PARAM_LABELS.values()]
             for key, expected in _mp_edf_statistics(x, params).items():
                 assert record[key] == pytest.approx(expected, rel=1e-10), (record["name"], key)
+
+
+class TestEdfPass:
+    """Each EDF block evaluates its law once, and gives the statistics
+    of the one-statistic functions bitwise."""
+
+    def test_gof_report_calls_the_cdf_once(self):
+        calls = []
+
+        def cdf(x):
+            calls.append(x.size)
+            return np.clip(x, 0.0, 1.0)
+
+        d = Dataset(np.random.default_rng(43).uniform(0.05, 0.95, size=40))
+        rep = gof_report(d, cdf)
+        assert calls == [40]
+        assert (rep.ks, rep.cvm, rep.ad) == (ks_stat(d, cdf), cvm_stat(d, cdf), ad_stat(d, cdf))
+        assert rep.ks_pvalue == ks_pvalue(rep.ks, 40)
+
+    def test_gof_report_warns_on_the_ad_clamp(self):
+        # the law puts the observed point 0 at probability 0
+        with pytest.warns(RuntimeWarning, match="clamped"):
+            rep = gof_report(Dataset(np.array([0.0, 0.5])), lambda x: np.clip(x, 0.0, 1.0))
+        assert math.isfinite(rep.ad)
+
+    def test_compare_evaluates_each_fitted_law_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(x, params):
+            calls.append(params)
+            return erl_cdf(x, params)
+
+        monkeypatch.setattr(cli, "erl_cdf", counted)
+        out = tmp_path / "compare.json"
+        assert main(["compare", "--input", synthetic_path(), "--seed", "0", "--output", str(out)]) == 0
+        assert len(calls) == 7
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats adds about 20 MB of resident memory and 0.6 s to every run
+    code = "import sys, erlfit.cli; print('scipy.stats' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0 and done.stdout.split() == ["False"], done.stderr
 
 
 class TestSample:
