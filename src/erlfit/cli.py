@@ -9,10 +9,11 @@ CSV (6 significant digits), and each CSV table is read off its JSON
 report: one row per model record for fit and compare, the list-valued
 columns for curves, the dotted leaves as quantity,value for gof and
 moments, one full-precision draw per line for sample.  Exit codes:
-0 success, 1 input error, 2 at least one requested fit failed to
-converge, 3 internal numerical error.  fit, compare and sample take
---seed (seeded starts or draws) and are byte-reproducible for a fixed
-one; gof, curves and moments draw nothing and are deterministic.
+0 success, 1 input error or an output file that cannot be written, 2 at
+least one requested fit failed to converge, 3 internal numerical error.
+fit, compare and sample take --seed (seeded starts or draws) and are
+byte-reproducible for a fixed one; gof, curves and moments draw nothing
+and are deterministic.
 """
 
 from __future__ import annotations
@@ -444,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "for compare, ERLD otherwise)",
             )
         if params:
-            cmd.add_argument("--params", default=None, help="a,b,theta,lambda,beta")
+            cmd.add_argument("--params", required=True, help="a,b,theta,lambda,beta")
         if n:
             cmd.add_argument("--n", type=int, default=1000, help="number of draws")
         if seed:
@@ -489,8 +490,6 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict, bool]:
         report = run_compare(data, specs, FitConfig(seed=args.seed))
         ok = all(record["converged"] for record in report["models"])
         return report, ok
-    if args.params is None:
-        raise InputError(f"{args.command} requires --params")
     params = _parse_params(args.params)
     if args.command == "gof":
         return run_gof(ingest(args.input), params), True
@@ -507,8 +506,11 @@ def _emit(chunks: list[str], path: Optional[str]):
     if path is None:
         sys.stdout.writelines(chunks)
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(chunks)
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(chunks)
+        except OSError as exc:
+            raise InputError(f"cannot write output file {path!r}: {exc}") from exc
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

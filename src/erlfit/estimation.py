@@ -243,9 +243,7 @@ def _objective(specs: Sequence[ModelSpec], data: Dataset):
     def objective(z: np.ndarray, models: np.ndarray) -> np.ndarray:
         # trust box: beyond e^30 the likelihood terms cancel at scales
         # where double precision returns noise, not likelihood; NaN fails too
-        if np.abs(z).max(initial=0.0) <= _Z_BOUND:
-            return _nll(values_at(z, models), x)
-        inside = np.abs(z).max(axis=1) <= _Z_BOUND
+        inside = (np.abs(z) <= _Z_BOUND).all(axis=1)
         out = np.full(len(z), math.inf)
         if inside.any():
             out[inside] = _nll(values_at(z[inside], models[inside]), x)
@@ -254,9 +252,7 @@ def _objective(specs: Sequence[ModelSpec], data: Dataset):
     return free, values_at, objective
 
 
-def fit_ladder(
-    specs: Sequence[ModelSpec], data: Dataset, cfg: FitConfig = FitConfig()
-) -> list[FitResult]:
+def fit_ladder(specs: Sequence[ModelSpec], data: Dataset, cfg: FitConfig) -> list[FitResult]:
     """Multi-start Nelder-Mead maximum likelihood for every spec, in one
     lock-step run; one FitResult per spec, in order.
 
@@ -456,8 +452,7 @@ def standard_errors(fit: FitResult, data: Dataset) -> FitResult:
     rows[:, [PARAM_NAMES.index(name) for name in spec.free_names]] = points
     valid = np.all(np.isfinite(points) & (points > 0.0), axis=1)
     vals = np.full(len(points), math.inf)
-    if valid.any():
-        vals[valid] = _nll(rows[valid], data.values)
+    vals[valid] = _nll(rows[valid], data.values)
     plus, minus = vals[1 : k + 1], vals[k + 1 : 2 * k + 1]
     pp, pm, mp, mm = vals[2 * k + 1 :].reshape(4, -1)
 

@@ -73,12 +73,9 @@ class _Layout:
 
         argsort is not stable, so it sees exactly the d+1 values of a
         start, as scipy's argsort of that start's simplex does."""
-        if len(self.runs) == 1 and self.runs[0][2] == 0:
-            order = np.argsort(fsim, axis=1)
-        else:
-            order = self.identity.copy()
-            for lo, hi, first in self.runs:
-                order[lo:hi, first:] = np.argsort(fsim[lo:hi, first:], axis=1) + first
+        order = self.identity.copy()
+        for lo, hi, first in self.runs:
+            order[lo:hi, first:] = np.argsort(fsim[lo:hi, first:], axis=1) + first
         return sim[self.rows, order], fsim[self.rows, order]
 
 
@@ -196,9 +193,7 @@ def _nelder_mead(
                 keep = ~leave
                 sim, fsim, ids, nit, dims = sim[keep], fsim[keep], ids[keep], nit[keep], dims[keep]
                 layout = _Layout(dims, width)
-                if points:
-                    continue  # a joining start is tested before its first step
-                first, f_best = layout.first, f_best[keep]
+                continue  # a joining start is tested before its first step, the rest again
             if not len(ids):
                 break
             # scipy's centroid np.add.reduce(sim[:-1], 0) / d, added in the
@@ -213,12 +208,9 @@ def _nelder_mead(
             outside = fxr < fsim[:, -1]
             coef = _SECOND_POINT[np.where(expand, 0, np.where(outside, 1, 2))]
             x2 = coef[:, :1] * xbar - coef[:, 1:] * worst
-            if second.all():
-                f2 = f(x2, ids)
-            else:
-                f2 = np.full(len(ids), math.inf)
-                if second.any():
-                    f2[second] = f(x2[second], ids[second])
+            f2 = np.full(len(ids), math.inf)
+            if second.any():
+                f2[second] = f(x2[second], ids[second])
             take2 = second & np.where(expand, f2 < fxr, np.where(outside, f2 <= fxr, f2 < fsim[:, -1]))
             shrink = second & ~(expand | take2)
             shrinking = shrink.any()

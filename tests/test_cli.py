@@ -109,7 +109,7 @@ class TestUsageErrors:
         (["frobnicate"], "invalid choice"),
         (["fit", "--input", "DATA", "--models", "Weibull"], "known models"),
         (["fit", "--input", "DATA", "--models", "RLD,ExpLD"], "exactly one model"),
-        (["gof", "--input", "DATA", "--models", "ERLD"], "unrecognized arguments: --models"),
+        (["gof", "--input", "DATA", "--params", EXP_PARAMS, "--models", "ERLD"], "unrecognized arguments: --models"),
         # only fit, compare and sample draw random numbers
         (["gof", "--input", "DATA", "--params", EXP_PARAMS, "--seed", "1"], "unrecognized arguments: --seed"),
         (["curves", "--params", EXP_PARAMS, "--seed", "1"], "unrecognized arguments: --seed"),
@@ -120,7 +120,7 @@ class TestUsageErrors:
         (["sample", "--params", "2,1,one,0.5,2", "--n", "5"], "must be numeric"),
         (["sample", "--params", "0,1,1,1,1", "--n", "5"], "finite positive"),
         (["sample", "--params", "1,1,1,1,1", "--n", "0"], "positive integer"),
-        (["moments"], "requires --params"),
+        (["moments"], "required: --params"),
         (["curves", "--params", "1,1,1,1,1", "--format", "yaml"], "invalid choice"),
     ]
 
@@ -148,6 +148,13 @@ class TestUsageErrors:
     def test_missing_input_file(self, tmp_path, capsys):
         assert main(["fit", "--input", str(tmp_path / "gone.txt")]) == 1
         assert "cannot read input file" in capsys.readouterr().err
+
+    def test_unwritable_output_file(self, tmp_path, capsys):
+        out = tmp_path / "gone" / "x.json"
+        assert main(["curves", "--params", EXP_PARAMS, "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"erlfit: input error: cannot write output file {str(out)!r}: ")
+        assert not out.parent.exists()
 
     @pytest.mark.parametrize("argv,fragment", [
         (["compare"], "ExpLD: need at least 4 observations, got 3"),

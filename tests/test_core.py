@@ -508,3 +508,20 @@ class TestBetaWeibullOracle:
                 ref = exponweib.pdf(x, p.a, **weibull)
             checked += _assert_rel(erl_pdf(x, ErlParams(p.a, 1.0, p.base)), ref, ref > 1e-300)
         assert checked > 2000
+
+    def test_rld_moments_are_weibull_moments(self):
+        # at a = b = 1 the law is the Weibull itself; 20 seeded laws with
+        # lam in [e^-1, e^1.5] and theta, beta in [e^-2, e^2], checked to
+        # 1e-9 of max(|m_r|, sd^r) because m_r may cancel to near 0
+        rng = np.random.default_rng(20261021)
+        for _ in range(20):
+            lam = math.exp(rng.uniform(-1.0, 1.5))
+            theta, beta = np.exp(rng.uniform(-2.0, 2.0, 2))
+            base = BaselineParams(float(theta), lam, float(beta))
+            law = weibull_min(2.0 * lam, loc=-theta, scale=theta * (2.0 / beta) ** (1.0 / (2.0 * lam)))
+            sd = law.std()
+            for r in range(1, 5):
+                ref = law.moment(r)
+                tol = 1e-9 * max(abs(ref), sd**r)
+                assert abs(erl_raw_moment(r, ErlParams(1.0, 1.0, base)) - ref) <= tol, (r, base)
+                assert abs(baseline_moment_series(r, base) - ref) <= tol, (r, base)
