@@ -9,8 +9,9 @@ CSV (6 significant digits), and each CSV table is read off its JSON
 report: one row per model record for fit and compare, the list-valued
 columns for curves, the dotted leaves as quantity,value for gof and
 moments, one full-precision draw per line for sample.  Exit codes:
-0 success, 1 input error or an output file that cannot be written, 2 at
-least one requested fit failed to converge, 3 internal numerical error.
+0 success, 1 input error or an output file or standard output that
+cannot be written (a reader that closed the pipe), 2 at least one
+requested fit failed to converge, 3 internal numerical error.
 fit, compare and sample take --seed (seeded starts or draws) and are
 byte-reproducible for a fixed one; gof, curves and moments draw nothing
 and are deterministic.
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -504,7 +506,14 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict, bool]:
 
 def _emit(chunks: list[str], path: Optional[str]):
     if path is None:
-        sys.stdout.writelines(chunks)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            # the reader is gone: point stdout at devnull so that the
+            # interpreter's own flush at exit has nowhere to fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise InputError(f"cannot write standard output: {exc}") from exc
     else:
         try:
             with open(path, "w", encoding="utf-8", newline="\n") as fh:

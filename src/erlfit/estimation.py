@@ -22,7 +22,7 @@ The search is multi-started from a span heuristic plus seeded
 log-uniform draws, with a single polish restart of the best run.  All
 starts run in lock-step in one in-house Nelder-Mead optimizer
 (neldermead._nelder_mead): the simplices are one (S, k+1, k) array, k
-the largest number of free parameters among them; every step evaluates
+the widest model's number of free parameters; every step evaluates
 the reflections of all live starts in one kernel call (then the
 expansion or contraction points, then any shrunken vertices, in one
 call each), and a start leaves the arrays when it converges, reaches
@@ -288,6 +288,8 @@ def fit_ladder(specs: Sequence[ModelSpec], data: Dataset, cfg: FitConfig) -> lis
     if span <= 0.0:
         span = max(1.0, abs(float(data.values[0])))
     free, values_at, objective = _objective(specs, data)
+    # the widest spec's k, even while none of its own starts has joined
+    width = max(spec.free_count for spec in specs)
     draws = {}
     for k in {spec.free_count for spec in specs}:
         rng = np.random.default_rng(cfg.seed)
@@ -301,10 +303,10 @@ def fit_ladder(specs: Sequence[ModelSpec], data: Dataset, cfg: FitConfig) -> lis
             return np.array([math.log(o) for o in offsets])
         return None
 
-    # runs[s] holds spec s's starts in reduction order: None while a start
-    # runs or its point does not exist yet, False once it is dropped, and
-    # then its OptimizeResult; lower[s] are the specs that warm-start it,
-    # whose entries close runs[s]
+    # runs[s] holds spec s's starts in reduction order, then its polish:
+    # None while a start runs or its point does not exist yet, False once
+    # it is dropped, and then its OptimizeResult; lower[s] are the specs
+    # that warm-start it, whose entries come just before the polish
     lower = [
         [t for t, other in enumerate(specs) if other.free_count < spec.free_count]
         for spec in specs
@@ -315,16 +317,14 @@ def fit_ladder(specs: Sequence[ModelSpec], data: Dataset, cfg: FitConfig) -> lis
         heuristic = [math.log(span) if name == "theta" else 0.0 for name in spec.free_names]
         points = [np.array(heuristic), *draws[spec.free_count]]
         candidates += [(model, entry, z) for entry, z in enumerate(points)]
-        runs.append([None] * (len(points) + len(lower[model])))
-    # per spec: its provisional winner, the start of the polish from it
-    # and that polish's OptimizeResult once it has finished
+        runs.append([None] * (len(points) + len(lower[model]) + 1))
+    # per spec: its provisional winner and the start of the polish from it
     best: list[Optional[optimize.OptimizeResult]] = [None] * len(specs)
     polish: list[Optional[int]] = [None] * len(specs)
-    polished: list[Optional[optimize.OptimizeResult]] = [None] * len(specs)
     fits: list[Optional[FitResult]] = [None] * len(specs)
-    # (spec, entry in runs, or None for a polish) of every start, in the
-    # order the starts join the run, and the specs as an array for f
-    roles: list[tuple[int, Optional[int]]] = []
+    # (spec, entry in runs) of every start, in the order the starts join
+    # the run, and the specs as an array for f
+    roles: list[tuple[int, int]] = []
     owners = np.empty(0, dtype=np.intp)
 
     def launch(todo) -> tuple[list[np.ndarray], list[int]]:
@@ -338,7 +338,7 @@ def fit_ladder(specs: Sequence[ModelSpec], data: Dataset, cfg: FitConfig) -> lis
         while True:
             if todo:
                 models = np.array([model for model, _entry, _z in todo], dtype=np.intp)
-                finite = np.isfinite(objective(_pad([z for *_, z in todo]), models))
+                finite = np.isfinite(objective(_pad([z for *_, z in todo], width), models))
                 for (model, entry, z), ok in zip(todo, finite):
                     if ok:
                         roles.append((model, entry))
@@ -349,9 +349,9 @@ def fit_ladder(specs: Sequence[ModelSpec], data: Dataset, cfg: FitConfig) -> lis
             for model, spec_runs in enumerate(runs):
                 if fits[model] is not None:
                     continue
-                finished = [run for run in spec_runs if run is not None and run is not False]
+                finished = [run for run in spec_runs[:-1] if run is not None and run is not False]
                 if not finished:
-                    if None not in spec_runs:
+                    if None not in spec_runs[:-1]:
                         raise ValueError(f"{specs[model].name}: no admissible starting point found")
                     continue
                 # a fresh simplex around the winner often shaves the last
@@ -362,14 +362,14 @@ def fit_ladder(specs: Sequence[ModelSpec], data: Dataset, cfg: FitConfig) -> lis
                 if lead is not best[model]:
                     if polish[model] is not None:
                         ended.append(polish[model])
-                    best[model], polish[model], polished[model] = lead, len(roles), None
-                    roles.append((model, None))
+                    best[model], polish[model], spec_runs[-1] = lead, len(roles), None
+                    roles.append((model, len(spec_runs) - 1))
                     points.append(lead.x)
                     continue
-                if polished[model] is None or None in spec_runs:
+                if None in spec_runs:
                     continue
-                run = polished[model]
-                final = run if run.fun < lead.fun else lead
+                # on a tie the winner stays
+                final = min((lead, spec_runs[-1]), key=lambda run: run.fun)
                 row = values_at(final.x[None, :], np.array([model]))[0]
                 fits[model] = FitResult(
                     spec=specs[model],
@@ -382,7 +382,7 @@ def fit_ladder(specs: Sequence[ModelSpec], data: Dataset, cfg: FitConfig) -> lis
                 for other, sources in enumerate(lower):
                     if model in sources:
                         z = warm(other, fits[model].params)
-                        entry = len(runs[other]) - len(sources) + sources.index(model)
+                        entry = len(runs[other]) - 1 - len(sources) + sources.index(model)
                         if z is None:
                             runs[other][entry] = False
                         else:
@@ -395,15 +395,13 @@ def fit_ladder(specs: Sequence[ModelSpec], data: Dataset, cfg: FitConfig) -> lis
     def join(done) -> tuple[list[np.ndarray], list[int]]:
         for start, run in done:
             model, entry = roles[start]
-            if entry is None:
-                polished[model] = run
-            else:
-                runs[model][entry] = run
+            runs[model][entry] = run
         return launch([])
 
     _nelder_mead(
         lambda z, starts: objective(z, owners[starts]),
         launch(candidates)[0],
+        width,
         _MAX_ITERS,
         _FATOL,
         join=join,

@@ -3,8 +3,8 @@
 _nelder_mead moves every start of a run together, each exactly as
 scipy.optimize.minimize(method="Nelder-Mead") moves it alone, and
 evaluates the trial points of all live starts in one call of the
-objective per phase of a step.  Starts may differ in dimension and may
-join while the run goes on; _Layout says where each keeps its simplex.
+objective per phase of a step.  Starts of any dimension up to the run's
+width may join while it goes on; _Layout says where each keeps its simplex.
 
 A step of a start is a function of its own sorted simplex and values
 alone, as long as the value the objective gives a point does not depend
@@ -36,11 +36,9 @@ _SECOND_POINT = np.array(
 )
 
 
-def _pad(points: Sequence[np.ndarray], width: Optional[int] = None) -> np.ndarray:
-    """The 1-D points as the rows of an (m, width) array, zero-padded on
-    the right; width defaults to the longest point."""
-    if width is None:
-        width = max(len(point) for point in points)
+def _pad(points: Sequence[np.ndarray], width: int) -> np.ndarray:
+    """The 1-D points, none longer than width, as the rows of an
+    (m, width) array, zero-padded on the right."""
     out = np.zeros((len(points), width))
     for row, point in zip(out, points):
         row[: len(point)] = point
@@ -103,18 +101,18 @@ def _first_simplices(f, points: Sequence[np.ndarray], ids: np.ndarray, width: in
 
 
 def _nelder_mead(
-    f, x0: Sequence[np.ndarray], maxiter: int, fatol: float, join=None
+    f, x0: Sequence[np.ndarray], width: int, maxiter: int, fatol: float, join=None
 ) -> list[Optional[optimize.OptimizeResult]]:
     """Nelder-Mead from every start point in x0 in lock-step, with starts
     joining while the run goes on.
 
-    f(points, starts) maps an (m, w) array of points to their (m,)
+    f(points, starts) maps an (m, width) array of points to their (m,)
     values, where starts[r] is the start that point r belongs to, so one
     run can hold starts of different objectives.  f(points, starts)[r]
     must depend only on row r of points and on starts[r], whatever else
     the call holds.  Starts are numbered in the order they join, the
-    points of x0 first, and may differ in dimension: w is the largest so
-    far, and narrower points are zero-padded on the right.  join(done),
+    points of x0 first, and may differ in dimension up to width:
+    narrower points are zero-padded on the right.  join(done),
     if given, is called with the (start, OptimizeResult) pairs of the
     starts that have just finished and returns (points, ended): the
     points of the starts that join now, and the starts that end now.  An
@@ -138,21 +136,13 @@ def _nelder_mead(
     scipy.
     """
     results: list = []
-    width = 0
-    sim, fsim = np.empty((0, 1, 0)), np.empty((0, 1))
+    sim, fsim = np.empty((0, width + 1, width)), np.empty((0, width + 1))
     ids = nit = dims = np.empty(0, dtype=np.intp)
     layout = _Layout(dims, width)
     points = list(x0)
     with np.errstate(invalid="ignore"):  # inf - inf while a simplex is all +inf
         while True:
             if points:
-                width = max(width, *map(len, points))
-                if width > sim.shape[2]:  # the new padding goes first in every row
-                    grow = width - sim.shape[2]
-                    wide = np.zeros((len(sim), width + 1, width))
-                    wide[:, grow:, : sim.shape[2]] = sim
-                    sim = wide
-                    fsim = np.pad(fsim, ((0, 0), (grow, 0)), constant_values=math.inf)
                 start_ids = np.arange(len(results), len(results) + len(points))
                 results += [None] * len(points)
                 new = _first_simplices(f, points, start_ids, width)

@@ -440,6 +440,23 @@ class TestSample:
         assert [line == "NA" for line in lines] == [v is None for v in from_json]
         assert [float(line) for line in lines if line != "NA"] == [v for v in from_json if v is not None]
 
+    def test_closed_standard_output_exits_1(self):
+        # as in `erlfit sample ... | head -1`: 100,000 draws overfill the
+        # pipe, so the reader closes it while erlfit is still writing
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "erlfit.cli", "sample", "--params", POWER_PARAMS,
+             "--n", "100000", "--format", "csv"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        float(proc.stdout.readline())
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1
+        assert "cannot write standard output" in err
+        assert "Traceback" not in err and "Exception ignored" not in err
+
 
 @pytest.fixture(scope="module")
 def curves_report(tmp_path_factory):

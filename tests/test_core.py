@@ -254,6 +254,16 @@ class TestQuantile:
         x_ref = -0.9900689167813681404
         assert erl_quantile(1e-4, SMALL_A_POINT) == pytest.approx(x_ref, rel=1e-12)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 12(c): the far lower tail at large a misses the round trip",
+    )
+    def test_far_lower_tail_roundtrip(self):
+        # both probabilities come back as 1.1833e-280
+        p = ErlParams.from_values(209.7, 39.7, 0.01265, 18.74, 0.001227)
+        probs = np.array([3.7e-284, 1e-280])
+        assert erl_cdf(erl_quantile(probs, p), p) == pytest.approx(probs, rel=1e-10, abs=0.0)
+
     def test_beyond_the_doubles_is_inf_without_warning(self):
         # lam = 0.0017: the quantile at 0.368 is about 10^1400
         p = ErlParams.from_values(0.98438, 0.047210, 1.0, 0.0016740, 0.026589)

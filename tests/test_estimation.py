@@ -182,7 +182,7 @@ class TestNelderMead:
         if outside:
             z0[1, 0] = 31.0  # a start outside the search box
         options = {"maxiter": max_iters, "fatol": 1e-8, "xatol": 1e-8}
-        runs = _nelder_mead(objective, z0, max_iters, 1e-8)
+        runs = _nelder_mead(objective, z0, spec.free_count, max_iters, 1e-8)
         assert len(runs) == len(z0)
         for start, run in zip(z0, runs):
             with np.errstate(invalid="ignore"):
@@ -208,7 +208,7 @@ class TestNelderMead:
         z0 = np.random.default_rng(1).uniform(math.log(1e-2), math.log(1e2), (4, 4))
         owner = np.array([0, 1, 1, 0])
         options = {"maxiter": max_iters, "fatol": 1e-8, "xatol": 1e-8}
-        runs = _nelder_mead(lambda z, starts: objective(z, owner[starts]), z0, max_iters, 1e-8)
+        runs = _nelder_mead(lambda z, starts: objective(z, owner[starts]), z0, 4, max_iters, 1e-8)
         for start, model, run in zip(z0, owner, runs):
             models = np.array([model])
             with np.errstate(invalid="ignore"):
@@ -226,10 +226,10 @@ class TestNelderMead:
 
     @pytest.mark.parametrize("max_iters", [2000, 60])
     def test_joining_starts_match_scipy(self, max_iters):
-        # starts with 3, 4 and 5 free parameters share one run: two from
-        # the outset, then every start that finishes hands in the next one,
-        # so starts join at different iterations, the 5-parameter ones
-        # wider than any start already running
+        # starts with 3, 4 and 5 free parameters share one run of width 5:
+        # two from the outset, then every start that finishes hands in the
+        # next one, so starts join at different iterations, the 5-parameter
+        # ones after narrower starts
         specs = [get_model(name) for name in ("RLD", "BRD", "ERLD")]
         _free, _values_at, objective = _objective(specs, load_synthetic())
         rng = np.random.default_rng(2)
@@ -250,7 +250,7 @@ class TestNelderMead:
             joined_after.extend([calls] * len(new))
             return new, []
 
-        runs = _nelder_mead(f, points[:2], max_iters, 1e-8, join=join)
+        runs = _nelder_mead(f, points[:2], 5, max_iters, 1e-8, join=join)
         assert len(runs) == len(points) and len(set(joined_after)) >= 2
         options = {"maxiter": max_iters, "fatol": 1e-8, "xatol": 1e-8}
         for start, model, run in zip(points, models, runs):
@@ -293,7 +293,7 @@ class TestNelderMead:
                 ended.extend([slowest, *(start for start, _run in done)])
             return [], ended
 
-        runs = _nelder_mead(f, z0, 2000, 1e-8, join=join)
+        runs = _nelder_mead(f, z0, spec.free_count, 2000, 1e-8, join=join)
         assert runs[slowest] is None and slowest not in seen_after
         assert len(ended) >= 2
         for i, (run, ref) in enumerate(zip(runs, refs)):
@@ -330,7 +330,7 @@ class TestNelderMead:
                 rows += len(z)
                 return objective(z)
 
-            runs = _nelder_mead(counted, [draws[i] for i in picks], 2000, 1e-8)
+            runs = _nelder_mead(counted, [draws[i] for i in picks], 4, 2000, 1e-8)
             for pick, run in zip(picks, runs):
                 ref = refs[pick]
                 assert np.array_equal(run.x, ref.x)
@@ -347,7 +347,7 @@ class TestNelderMead:
         rows_to_match_scipy([0, 8, 13, 1])
 
     def test_no_starts(self):
-        assert _nelder_mead(lambda z, starts: np.zeros(len(z)), np.empty((0, 3)), 100, 1e-8) == []
+        assert _nelder_mead(lambda z, starts: np.zeros(len(z)), np.empty((0, 3)), 3, 100, 1e-8) == []
 
 
 class TestScore:
