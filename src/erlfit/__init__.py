@@ -6,14 +6,7 @@ EDF goodness-of-fit statistics and information criteria, plus a batch
 CLI (`erlfit`) over all of it.
 """
 
-from .baseline import (
-    BaselineParams,
-    baseline_cdf,
-    baseline_moment_series,
-    baseline_pdf,
-    baseline_quantile,
-    baseline_sample,
-)
+from .baseline import BaselineParams, baseline_moment_series, baseline_quantile
 from .core import (
     ErlParams,
     erl_cdf,
@@ -52,14 +45,7 @@ from .gof import (
     sample_kurtosis,
     sample_skewness,
 )
-from .specfun import (
-    beta_fn,
-    digamma,
-    inv_reg_inc_beta,
-    log_beta,
-    log_gamma,
-    reg_inc_beta,
-)
+from .specfun import inv_reg_inc_beta, log_beta, log_gamma, reg_inc_beta
 from .submodels import DEFAULT_COMPARE, MODELS, ModelSpec, get_model
 
 __version__ = "0.1.0"
@@ -78,14 +64,9 @@ __all__ = [
     "ModelSpec",
     "NumericalError",
     "ad_stat",
-    "baseline_cdf",
     "baseline_moment_series",
-    "baseline_pdf",
     "baseline_quantile",
-    "baseline_sample",
-    "beta_fn",
     "cvm_stat",
-    "digamma",
     "erl_cdf",
     "erl_central_moments",
     "erl_cv",

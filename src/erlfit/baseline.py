@@ -17,6 +17,10 @@ anyway.  At theta = 1, lam = 0.5, beta = 2 the law collapses to a unit
 exponential shifted to start at -1, which the tests lean on heavily.
 The baseline is the Weibull law with location -theta, shape k = 2 lam
 and scale sigma = theta (2/beta)^(1/k), since T = ((x + theta)/sigma)^k.
+
+Its pdf, cdf and draws are erl_pdf, erl_cdf and erl_sample at a = b = 1
+(or scipy.stats.weibull_min).  baseline_quantile has no caller; the
+traced benchmark (perfbench/tracing.py) wraps it by name.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
 from .specfun import log_gamma
 
 
@@ -95,24 +100,6 @@ def _log_k_plus_t(log_v, theta, lam, beta):
         return math.log(beta * lam / theta) + (2.0 * lam - 1.0) * log_v
 
 
-def baseline_cdf(x, p: BaselineParams):
-    """K(x); 0 at and below -theta."""
-    scalar = np.ndim(x) == 0
-    _log_v, t, _log_k = _log_transform(x, p.theta, p.lam, p.beta)
-    out = -np.expm1(-t)
-    return float(out[()]) if scalar else out
-
-
-def baseline_pdf(x, p: BaselineParams):
-    """Density k(x) = (beta lam / theta) v**(2 lam - 1) exp(-T); 0 outside."""
-    scalar = np.ndim(x) == 0
-    log_v, t, _log_k = _log_transform(x, p.theta, p.lam, p.beta)
-    with np.errstate(invalid="ignore"):
-        log_pdf = _log_k_plus_t(log_v, p.theta, p.lam, p.beta) - t
-        out = np.where(log_v > -np.inf, np.exp(log_pdf), 0.0)
-    return float(out[()]) if scalar else out
-
-
 def _v_at(t, lam, beta):
     """The inverse of the transform's T: v at which T takes the value t.
     Beyond the doubles (small lam) an array gives +inf, under the
@@ -144,27 +131,27 @@ def baseline_moment_series(r: int, p: BaselineParams) -> float:
 
     E[X^r] = sum_h C(r,h) theta^h (2/beta)^(h/(2 lam)) (-theta)^(r-h)
              * Gamma(h/(2 lam) + 1)
+
+    Raises NumericalError where a term or the sum leaves the doubles.
     """
     if not isinstance(r, (int, np.integer)) or r < 0:
         raise ValueError("moment order r must be a nonnegative integer")
     if r == 0:
         return 1.0
     total = 0.0
-    for h in range(int(r) + 1):
-        g = math.exp(log_gamma(h / (2.0 * p.lam) + 1.0))
-        total += (
-            math.comb(int(r), h)
-            * p.theta**h
-            * (2.0 / p.beta) ** (h / (2.0 * p.lam))
-            * (-p.theta) ** (int(r) - h)
-            * g
-        )
+    try:
+        for h in range(int(r) + 1):
+            g = math.exp(log_gamma(h / (2.0 * p.lam) + 1.0))
+            total += (
+                math.comb(int(r), h)
+                * p.theta**h
+                * (2.0 / p.beta) ** (h / (2.0 * p.lam))
+                * (-p.theta) ** (int(r) - h)
+                * g
+            )
+    except OverflowError:  # from math.exp and float **; a product gives inf
+        total = math.inf
+    if not math.isfinite(total):
+        raise NumericalError(f"baseline moment r={r}: the series leaves the doubles")
     return total
 
-
-def baseline_sample(n: int, p: BaselineParams, seed) -> np.ndarray:
-    """n inverse-transform draws, deterministic per seed."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError("sample size n must be a positive integer")
-    rng = np.random.default_rng(seed)
-    return baseline_quantile(rng.random(int(n)), p)

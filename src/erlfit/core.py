@@ -88,11 +88,12 @@ def _log_density(log_v, t, log_k, a, b, theta, lam, beta):
 
 
 def erl_pdf(x, p: ErlParams):
-    """Density g(x); 0 at and outside the support boundary."""
+    """Density g(x); 0 at and outside the support boundary, and where
+    v = (theta + x)/theta overflows (ln v = +inf would give inf - inf)."""
     scalar = np.ndim(x) == 0
     log_v, t, log_k = _log_transform(x, p.base.theta, p.base.lam, p.base.beta)
     with np.errstate(over="ignore"):
-        out = np.where(log_v > -np.inf, np.exp(_log_density(log_v, t, log_k, *p.values())), 0.0)
+        out = np.where(np.isfinite(log_v), np.exp(_log_density(log_v, t, log_k, *p.values())), 0.0)
     return float(out[()]) if scalar else out
 
 

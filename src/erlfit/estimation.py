@@ -64,13 +64,13 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, special
 
 from .baseline import _log_transform
 from .core import ErlParams
 from .errors import InputError
 from .neldermead import _nelder_mead, _pad
-from .specfun import _log_beta, digamma
+from .specfun import _log_beta
 from .submodels import PARAM_NAMES, ModelSpec
 
 _BOUND_EPS = 1e-9
@@ -187,9 +187,9 @@ def score_ab(params: ErlParams, data: Dataset) -> tuple[float, float]:
             _log_transform(data.values, theta, lam, beta), axis=1
         )
     n = data.n
-    common = digamma(params.a + params.b)
-    d_a = n * (common - digamma(params.a)) + float(sum_log_k)
-    d_b = n * (common - digamma(params.b)) - float(sum_t)
+    common = special.psi(params.a + params.b)
+    d_a = float(n * (common - special.psi(params.a)) + sum_log_k)
+    d_b = float(n * (common - special.psi(params.b)) - sum_t)
     return (d_a, d_b)
 
 

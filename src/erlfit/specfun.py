@@ -1,12 +1,14 @@
 """Special functions underpinning the beta link.
 
-log-gamma, digamma, the (log-)beta function, the regularized incomplete
-beta function and its inverse.  Everything accepts scalars or arrays and
+log-gamma, the log-beta function, the regularized incomplete beta
+function and its inverse.  Everything accepts scalars or arrays and
 broadcasts; scalar input gives a Python float back.  Each function
-checks its domain and raises ValueError outside it.
+checks its domain and raises ValueError outside it.  The package calls
+the float kernel _log_beta; the public log_beta has no caller and stays
+because the traced benchmark (perfbench/tracing.py) wraps it by name.
 
-log_gamma, digamma, reg_inc_beta and inv_reg_inc_beta are scipy.special's
-gammaln, psi, betainc and betaincinv.  log_beta stays in-house: scipy's
+log_gamma, reg_inc_beta and inv_reg_inc_beta are scipy.special's
+gammaln, betainc and betaincinv.  log_beta stays in-house: scipy's
 betaln misses 1e-13 relative against mpmath when one argument is large
 and the other small (6e-12 at a = 0.23, b = 612), and there the
 three-log-gamma form cancels catastrophically (ln G(1e16) ~ 1e17 while
@@ -101,14 +103,6 @@ def log_gamma(x):
     return _maybe_scalar(special.gammaln(xa), scalar)
 
 
-def digamma(x):
-    """Logarithmic derivative of the gamma function for x > 0."""
-    (xa,), scalar = _promote(x)
-    if xa.size and (not np.all(np.isfinite(xa)) or np.any(xa <= 0.0)):
-        raise ValueError("digamma requires finite x > 0")
-    return _maybe_scalar(special.psi(xa), scalar)
-
-
 def _stirling_tail(y: float) -> float:
     """Stirling correction S(y) with ln G(y) = (y-1/2) ln y - y + ln sqrt(2 pi) + S(y)."""
     inv = 1.0 / y
@@ -143,12 +137,6 @@ def log_beta(a, b):
         raise ValueError("log_beta requires a > 0 and b > 0")
     out = np.fromiter(map(_log_beta, aa.ravel().tolist(), ba.ravel().tolist()), np.float64, aa.size)
     return _maybe_scalar(out.reshape(aa.shape), scalar)
-
-
-def beta_fn(a, b):
-    """Euler beta function B(a, b) = G(a) G(b) / G(a + b)."""
-    out = np.exp(log_beta(a, b))
-    return _maybe_scalar(out, np.ndim(a) == 0 and np.ndim(b) == 0)
 
 
 def reg_inc_beta(x, a, b):

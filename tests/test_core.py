@@ -17,13 +17,7 @@ from scipy.special import betainc, betaincinv, betaln
 from scipy.stats import exponweib, weibull_min
 
 from erlfit import specfun
-from erlfit.baseline import (
-    BaselineParams,
-    baseline_cdf,
-    baseline_moment_series,
-    baseline_pdf,
-    baseline_sample,
-)
+from erlfit.baseline import BaselineParams, baseline_moment_series
 from erlfit.core import (
     ErlParams,
     erl_cdf,
@@ -45,6 +39,8 @@ from erlfit.errors import NumericalError
 
 EXP_BASE = BaselineParams(theta=1.0, lam=0.5, beta=2.0)
 EXP_POINT = ErlParams(1.0, 1.0, EXP_BASE)
+# EXP_BASE as scipy's Weibull law: shape 2 lam = 1, location -theta
+EXP_WEIBULL = weibull_min(1.0, loc=-1.0, scale=1.0)
 POWER_POINT = ErlParams(2.0, 1.0, EXP_BASE)
 
 # hand values at x=0 for the anchors above
@@ -97,7 +93,7 @@ class TestParams:
 class TestPdf:
     def test_reduces_to_parent(self):
         x = np.linspace(-0.9, 6.0, 200)
-        assert np.max(np.abs(erl_pdf(x, EXP_POINT) - baseline_pdf(x, EXP_BASE))) <= 1e-12
+        assert np.max(np.abs(erl_pdf(x, EXP_POINT) - EXP_WEIBULL.pdf(x))) <= 1e-12
 
     def test_power_anchor(self):
         assert erl_pdf(0.0, POWER_POINT) == pytest.approx(2.0 * K0 * k0, abs=1e-10)
@@ -105,6 +101,22 @@ class TestPdf:
     def test_zero_outside_support(self):
         assert erl_pdf(-1.0, POWER_POINT) == 0.0
         assert erl_pdf(-4.0, POWER_POINT) == 0.0
+
+    @pytest.mark.parametrize(
+        "x, p",
+        [
+            (math.inf, ErlParams(2.0, 1.5, BaselineParams(1.0, 1.0, 1.0))),
+            (math.inf, ErlParams(2.0, 1.5, BaselineParams(1.0, 0.5, 1.0))),
+            # a finite x inside the support where v = (theta + x)/theta overflows
+            (1e300, ErlParams(2.0, 1.5, BaselineParams(1e-10, 1.0, 1.0))),
+        ],
+    )
+    def test_zero_where_v_overflows(self, x, p):
+        # ln v = +inf there; (2 lam - 1) ln v - b T must not become inf - inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert erl_pdf(x, p) == 0.0
+            assert erl_reversed_hazard(x, p) == 0.0
 
     @pytest.mark.parametrize("p", MIXED_SETS)
     def test_nonnegative(self, p):
@@ -124,7 +136,7 @@ class TestPdf:
 class TestCdf:
     def test_reduces_to_parent(self):
         x = np.linspace(-0.9, 6.0, 200)
-        assert np.max(np.abs(erl_cdf(x, EXP_POINT) - baseline_cdf(x, EXP_BASE))) <= 1e-13
+        assert np.max(np.abs(erl_cdf(x, EXP_POINT) - EXP_WEIBULL.cdf(x))) <= 1e-13
 
     def test_power_anchor(self):
         # at b=1 the cdf is K^a
@@ -280,7 +292,8 @@ class TestSample:
 
     def test_reduction_matches_parent_distribution(self):
         ours = np.sort(erl_sample(10_000, EXP_POINT, seed=21))
-        parent = np.sort(baseline_sample(10_000, EXP_BASE, seed=22))
+        # the parent is a unit exponential shifted to start at -1
+        parent = np.sort(np.random.default_rng(22).standard_exponential(10_000) - 1.0)
         # two-sample empirical cdf sup distance
         merged = np.concatenate([ours, parent])
         d = 0.0
