@@ -56,6 +56,10 @@ from .baseline import (
 from .errors import NumericalError
 from .specfun import _log_beta, _on_blocks, inv_reg_inc_beta, reg_inc_beta
 
+# a double holds neither 1 - K = e^-T above T = _DEEP_T nor K below T = _TINY_T
+_DEEP_T, _TINY_T = 700.0, 1e-300
+
+
 @dataclass(frozen=True)
 class ErlParams:
     """Shape pair (a, b) over a Rayleigh-Lomax baseline."""
@@ -129,9 +133,9 @@ def _tail(log_v, t, p: ErlParams, survival: bool) -> np.ndarray:
     = exp(a ln T - ln a - ln B(a, b)), with ln T taken from ln v.
     """
     big_k = -np.expm1(-t)
-    tiny = t < 1e-300
+    tiny = t < _TINY_T
     lower = (big_k <= 0.5) & ~tiny
-    deep = t > 700.0
+    deep = t > _DEEP_T
     upper = ~(lower | deep | tiny)
     of_k, of_one_minus_k = special.betainc, special.betaincc
     if survival:
@@ -187,13 +191,13 @@ def erl_quantile(prob, p: ErlParams):
         # betainccinv stops at the smallest normal double (T = 708.4) once
         # 1 - K underflows; from T = 700 on, I_{1-K}(b, a) equals
         # (1-K)^b / (b B(a, b)) in doubles, which solves for T directly
-        deep = t > 700.0
+        deep = t > _DEEP_T
         t[deep] = -(np.log1p(-pa[deep]) + math.log(p.b) + _log_beta(p.a, p.b)) / p.b
         v = np.asarray(_v_at(t, p.base.lam, p.base.beta))
         # betaincinv likewise stops at 2.2e-308 once K underflows; below
         # 1e-300, I_K(a, b) = K^a / (a B(a, b)) and T = K in doubles, so
         # v = (2 T / beta)^(1 / (2 lam)) comes from ln K without forming K
-        tiny = t < 1e-300
+        tiny = t < _TINY_T
         log_t = (np.log(pa[tiny]) + math.log(p.a) + _log_beta(p.a, p.b)) / p.a
     v[tiny] = np.exp((math.log(2.0 / p.base.beta) + log_t) / (2.0 * p.base.lam))
     # x = theta v - theta in place: erl_sample holds n-sized arrays here

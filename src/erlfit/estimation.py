@@ -209,36 +209,31 @@ def _objective(specs: Sequence[ModelSpec], data: Dataset):
     theta and 0 for the other four.  values_at(z, models) maps rows of z,
     shape (m, w), to rows (a, b, theta, lam, beta), row r through the map
     of specs[models[r]], which reads the first k of the w columns (the
-    specs may differ in k; the columns past a row's k are padding and
-    must be finite); objective(z, models) maps them to nll, all rows in
+    specs may differ in k; the columns past a row's k are padding, which
+    it does not read); objective(z, models) maps them to nll, all rows in
     one kernel call.
     """
     shift = _theta_shift(data)
-    free = [
-        [(PARAM_NAMES.index(name), shift if name == "theta" else 0.0) for name in spec.free_names]
-        for spec in specs
-    ]
     # base holds each spec's fixed values and, at its free slots, their
-    # offsets, so that adding exp(z_i) at slot_i gives offset_i + exp(z_i);
-    # its last column is a spare that takes the padding of narrower specs
-    spare = len(PARAM_NAMES)
-    base = np.zeros((len(specs), spare + 1))
-    slots = np.full((len(specs), max(len(spec_free) for spec_free in free)), spare, dtype=np.intp)
-    for row, spec_slots, spec, spec_free in zip(base, slots, specs, free):
-        for name, value in spec.fixed:
-            row[PARAM_NAMES.index(name)] = value
-        for i, (slot, offset) in enumerate(spec_free):
-            row[slot] = offset
-            spec_slots[i] = slot
+    # offsets, so that adding exp(z_i) at free slot i gives offset_i + exp(z_i)
+    base = np.array([[spec.fixed_map.get(name, 0.0) for name in PARAM_NAMES] for spec in specs])
+    is_free = np.array([[name in spec.free_names for name in PARAM_NAMES] for spec in specs])
+    theta = PARAM_NAMES.index("theta")
+    base[is_free[:, theta], theta] = shift
+    free = [
+        list(zip(np.flatnonzero(mask).tolist(), row[mask].tolist()))
+        for row, mask in zip(base, is_free)
+    ]
+    counts = np.array([spec.free_count for spec in specs])
     x = data.values
 
     def values_at(z: np.ndarray, models: np.ndarray) -> np.ndarray:
-        # libm's exp per element, as a lone float gets: np.exp may differ
-        # in the last bit, and fits would then depend on the batch
-        exp_z = np.fromiter(map(math.exp, z.ravel().tolist()), np.float64, z.size)
+        # each row's first k columns fill its free slots in order, through
+        # libm's exp per element: np.exp's last bit may depend on the batch
+        live = z[np.arange(z.shape[1]) < counts[models][:, None]]
         values = base[models]
-        values[np.arange(len(z))[:, None], slots[models, : z.shape[1]]] += exp_z.reshape(z.shape)
-        return np.ascontiguousarray(values[:, :spare])
+        values[is_free[models]] += np.fromiter(map(math.exp, live.tolist()), np.float64, live.size)
+        return values
 
     def objective(z: np.ndarray, models: np.ndarray) -> np.ndarray:
         # trust box: beyond e^30 the likelihood terms cancel at scales

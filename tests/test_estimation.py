@@ -151,6 +151,48 @@ class TestRowsKernel:
         got = _nll(np.array([row]), load_synthetic().values)[0]
         assert got == pytest.approx(-165.48955844148649, rel=1e-12)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 12(a): ln K = ln(-expm1(-T)) loses the digits of e^-T where K rounds"
+        " to 1, and ln v = ln((theta + x)/theta) those of x/theta where theta >> |x|",
+    )
+    def test_rows_against_mpmath_at_the_holes(self):
+        # rows where the kernel's rounding is amplified, against mpmath at
+        # 60 digits: compare --seed 0's ERLD and LRLD estimates on the
+        # bundled data (a, b and beta at the search box's edges), theta up
+        # to 1e13 max|x| with 2 lam ln v near 1, and a e^-T(x_1) from 1e-2
+        # to 1e2 at T(x_1) = 10, 20 and 25
+        x = load_synthetic().values
+        erld = (
+            10686427128827.076,
+            0.0012581886605270633,
+            0.024999997691588803,
+            0.10386724553124053,
+            2269.5488940249406,
+        )
+        lrld = (1.0, 2.725866240723278e-13, 0.02499999769150253, 0.1130861457094063, 9992464891238.215)
+        rows = [erld, lrld]
+        for ratio in (1e3, 1e8, 1e13):
+            rows.append((2.0, 1.5, ratio * float(np.max(np.abs(x))), ratio / 2.0, 1.0))
+        _a, b, theta, lam, _beta = erld
+        v_1 = (theta + x[0]) / theta
+        for t_1 in (10.0, 20.0, 25.0):
+            for c in (1e-2, 1.0, 1e2):
+                rows.append((c * math.exp(t_1), b, theta, lam, 2.0 * t_1 / v_1 ** (2.0 * lam)))
+        got = _nll(np.array(rows), x)
+        ref = []
+        with mp.workdps(60):
+            points = [mp.mpf(v) for v in x.tolist()]
+            for row in rows:
+                a, b, theta, lam, beta = (mp.mpf(v) for v in row)
+                total = -len(points) * (mp.log(beta * lam / theta) - mp.log(mp.beta(a, b)))
+                for xi in points:
+                    log_v = mp.log((theta + xi) / theta)
+                    t = beta / 2 * mp.exp(2 * lam * log_v)
+                    total -= (2 * lam - 1) * log_v + (a - 1) * mp.log(-mp.expm1(-t)) - b * t
+                ref.append(float(total))
+        assert got.tolist() == pytest.approx(ref, rel=1e-12)
+
     def test_objective_box_and_nan(self):
         data = Dataset(erl_sample(300, RECOVERY_POINT, seed=3))
         objective = one_model(_objective([get_model("ERLD")], data)[2])
@@ -556,6 +598,25 @@ class TestLevels:
             oracle.append(standard_errors(fit, data) if fit.converged else fit)
         ladder = _fit_models(data, specs, cfg)
         assert all(self.same_fit(one, two) for one, two in zip(ladder, oracle, strict=True))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 19(b): the theta shift's epsilon, the search box and the seeded"
+        " theta draws are absolute, in the data's unit",
+    )
+    def test_compare_fits_follow_the_unit(self):
+        # only theta carries the data's unit: the fits of c x should be
+        # theta c with the same a, b, lam and beta, and nll + n ln c; the
+        # factors 2^-10 and 2^10 scale the data exactly
+        data = load_synthetic()
+        specs = [get_model(name) for name in DEFAULT_COMPARE]
+        cfg = FitConfig(seed=0)
+        fits = _fit_models(data, specs, cfg)
+        for c in (2.0**-10, 2.0**10):
+            for fit, scaled in zip(fits, _fit_models(Dataset(c * data.values), specs, cfg)):
+                a, b, theta, lam, beta = scaled.params.values()
+                assert (a, b, theta / c, lam, beta) == pytest.approx(fit.params.values(), rel=1e-6)
+                assert scaled.nll - data.n * math.log(c) == pytest.approx(fit.nll, rel=1e-9)
 
     def test_compare_work_count(self, monkeypatch):
         # fitted one model at a time, compare carried 162,715 rows in 20,857
