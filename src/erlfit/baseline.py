@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .specfun import log_gamma
+from .specfun import _result, log_gamma
 
 
 @dataclass(frozen=True)
@@ -117,13 +117,11 @@ def baseline_quantile(prob, p: BaselineParams):
 
     prob = 1 maps to +inf; values outside [0, 1] are a domain error.
     """
-    scalar = np.ndim(prob) == 0
     pa = np.asarray(prob, dtype=np.float64)
     if pa.size and (np.any(pa < 0.0) or np.any(pa > 1.0) or not np.all(np.isfinite(pa))):
         raise ValueError("baseline_quantile requires prob in [0, 1]")
     with np.errstate(divide="ignore", over="ignore"):
-        out = np.where(pa == 1.0, np.inf, p.theta * _quantile_v(pa, p) - p.theta)
-    return float(out[()]) if scalar else out
+        return _result(np.where(pa == 1.0, np.inf, p.theta * _quantile_v(pa, p) - p.theta))
 
 
 def baseline_moment_series(r: int, p: BaselineParams) -> float:

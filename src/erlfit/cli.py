@@ -239,14 +239,14 @@ def run_curves(params: ErlParams) -> dict:
     """Distribution curves on a quantile-adaptive grid of 512 points
     from the 0.001 to the 0.999 quantile."""
     probs = np.linspace(0.001, 0.999, 512)
-    x = np.asarray(erl_quantile(probs, params))
+    x = erl_quantile(probs, params)
     return {
         "params": _params_dict(params),
         "x": x.tolist(),
-        "pdf": np.asarray(erl_pdf(x, params)).tolist(),
-        "cdf": np.asarray(erl_cdf(x, params)).tolist(),
-        "survival": np.asarray(erl_survival(x, params)).tolist(),
-        "hazard": np.asarray(erl_hazard(x, params)).tolist(),
+        "pdf": erl_pdf(x, params).tolist(),
+        "cdf": erl_cdf(x, params).tolist(),
+        "survival": erl_survival(x, params).tolist(),
+        "hazard": erl_hazard(x, params).tolist(),
     }
 
 

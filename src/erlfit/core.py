@@ -54,10 +54,12 @@ from .baseline import (
     _v_at,
 )
 from .errors import NumericalError
-from .specfun import _log_beta, _on_blocks, inv_reg_inc_beta, reg_inc_beta
+from .specfun import _log_beta, _on_blocks, _result, inv_reg_inc_beta, reg_inc_beta
 
 # a double holds neither 1 - K = e^-T above T = _DEEP_T nor K below T = _TINY_T
 _DEEP_T, _TINY_T = 700.0, 1e-300
+# betainc loses I_K(a, b) once a ln K falls below _FAR_LOG_POWER (see _far_t)
+_FAR_LOG_POWER = -700.0
 
 
 @dataclass(frozen=True)
@@ -94,31 +96,25 @@ def _log_density(log_v, t, log_k, a, b, theta, lam, beta):
 def erl_pdf(x, p: ErlParams):
     """Density g(x); 0 at and outside the support boundary, and where
     v = (theta + x)/theta overflows (ln v = +inf would give inf - inf)."""
-    scalar = np.ndim(x) == 0
     log_v, t, log_k = _log_transform(x, p.base.theta, p.base.lam, p.base.beta)
     with np.errstate(over="ignore"):
         out = np.where(np.isfinite(log_v), np.exp(_log_density(log_v, t, log_k, *p.values())), 0.0)
-    return float(out[()]) if scalar else out
+    return _result(out)
 
 
 def erl_cdf(x, p: ErlParams):
     """G(x) = I_{K(x)}(a, b), in full relative precision (see _tail)."""
-    scalar = np.ndim(x) == 0
-    log_v, t, _log_k = _log_transform(x, p.base.theta, p.base.lam, p.base.beta)
-    out = _tail(log_v, t, p, survival=False)
-    return float(out[()]) if scalar else out
+    return _result(_tail(x, p, survival=False))
 
 
 def erl_survival(x, p: ErlParams):
     """1 - G(x) = I_{1-K(x)}(b, a), in full relative precision (see _tail)."""
-    scalar = np.ndim(x) == 0
-    log_v, t, _log_k = _log_transform(x, p.base.theta, p.base.lam, p.base.beta)
-    out = _tail(log_v, t, p, survival=True)
-    return float(out[()]) if scalar else out
+    return _result(_tail(x, p, survival=True))
 
 
-def _tail(log_v, t, p: ErlParams, survival: bool) -> np.ndarray:
-    """G, or with survival 1 - G, at ln v and its T, where K = 1 - exp(-T).
+def _tail(x, p: ErlParams, survival: bool) -> np.ndarray:
+    """G, or with survival 1 - G, at x, from the transform's ln v, T and
+    ln K, where K = 1 - exp(-T).
 
     Each side comes from the regularized incomplete beta or from its
     complement betaincc, whichever gives it without cancellation.  Up to
@@ -130,8 +126,11 @@ def _tail(log_v, t, p: ErlParams, survival: bool) -> np.ndarray:
     is the leading term (1-K)^b / (b B(a, b)) = exp(-bT - ln b - ln B(a, b))
     in doubles, and G = 1 - survival.  Below T = 1e-300, K = T loses its
     digits to the subnormals; there G is the leading term K^a / (a B(a, b))
-    = exp(a ln T - ln a - ln B(a, b)), with ln T taken from ln v.
+    = exp(a ln T - ln a - ln B(a, b)), with ln T taken from ln v.  Below
+    _far_t, where betainc loses G, G comes from _log_lower_tail at ln K;
+    the survival there stays betaincc's.
     """
+    log_v, t, log_k = _log_transform(x, p.base.theta, p.base.lam, p.base.beta)
     big_k = -np.expm1(-t)
     tiny = t < _TINY_T
     lower = (big_k <= 0.5) & ~tiny
@@ -149,27 +148,72 @@ def _tail(log_v, t, p: ErlParams, survival: bool) -> np.ndarray:
     log_t = _log_exponent(log_v[tiny], p.base.lam, p.base.beta)
     tiny_cdf = np.exp(p.a * log_t - math.log(p.a) - log_b)
     out[tiny] = 1.0 - tiny_cdf if survival else tiny_cdf
+    if not survival:
+        far = lower & (t < _far_t(p.a, p.b))
+        if far.any():
+            out[far] = np.exp(_log_lower_tail(log_k[far], p.a, p.b, log_b))
     return out
+
+
+def _far_t(a: float, b: float) -> float:
+    """T below which I_K(a, b) comes from _log_lower_tail.  There K^a is
+    below e^_FAR_LOG_POWER, where scipy's betainc loses I_K even while a
+    double still holds it (0.0 against 1.3e-284 at a = 209.7, b = 39.7,
+    K = 0.027, and 1.4% off at a = 1000, b = 30, K = 0.486).  K also lies
+    below 1/2 and below 3/4 of (a + 1)/(a + b), so the series' terms fall
+    by at least 3/4 each; above that bound betainc was within 1e-12 of
+    mpmath wherever a ln K < -700, up to a = 1e5."""
+    return -math.log1p(-min(math.exp(_FAR_LOG_POWER / a), 0.75 * (a + 1.0) / (a + b), 0.5))
+
+
+def _log_lower_tail(log_k, a: float, b: float, log_b: float) -> np.ndarray:
+    """ln I_K(a, b) at ln K below _far_t, by DLMF 8.17.8:
+
+        I_K(a, b) = K^a (1-K)^b / (a B(a, b)) 2F1(a+b, 1; a+1; K)
+
+    whose prefactor stays in logs.  The series' terms are positive, and
+    each is the last times K (a+b+n) / (a+1+n) <= 3/4.  It is summed
+    here: scipy's hyp2f1 misses by 12% at (a, b, K) = (1000, 39.7, 0.447).
+    """
+    k = np.exp(log_k)
+    term = np.ones_like(k)
+    total = np.ones_like(k)
+    n = 0
+    while np.any(term > 1e-17 * total):
+        term *= k * ((a + b + n) / (a + 1.0 + n))
+        total += term
+        n += 1
+    return a * log_k + b * np.log1p(-k) - math.log(a) - log_b + np.log(total)
+
+
+def _far_log_k(log_p, a: float, b: float, log_b: float) -> np.ndarray:
+    """ln K at which I_K(a, b) = p below _far_t: Newton on ln I as a
+    function of ln K, whose slope is K^a (1-K)^(b-1) / (B(a, b) I), from
+    the leading term's root (ln p + ln a + ln B(a, b)) / a.  With the
+    root anywhere below _far_t, for a from 1.01 to 1e7 and b from 1e-3
+    to 1e9, 6 steps brought ln I within 1e-13 relative of ln p."""
+    log_k = (log_p + math.log(a) + log_b) / a
+    for _ in range(16):
+        log_i = _log_lower_tail(log_k, a, b, log_b)
+        slope = np.exp(a * log_k + (b - 1.0) * np.log1p(-np.exp(log_k)) - log_b - log_i)
+        log_k = log_k - (log_i - log_p) / slope
+    return log_k
+
+
+def _ratio(dens, tail):
+    """dens / tail, the hazard pair's form; +inf where the tail is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _result(np.where(tail > 0.0, np.divide(dens, tail), np.inf))
 
 
 def erl_hazard(x, p: ErlParams):
     """g / (1 - G); +inf where the survival function has hit 0."""
-    scalar = np.ndim(x) == 0
-    dens = np.asarray(erl_pdf(x, p))
-    surv = np.asarray(erl_survival(x, p))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(surv > 0.0, dens / surv, np.inf)
-    return float(out[()]) if scalar else out
+    return _ratio(erl_pdf(x, p), erl_survival(x, p))
 
 
 def erl_reversed_hazard(x, p: ErlParams):
     """g / G; +inf where the cdf is still 0."""
-    scalar = np.ndim(x) == 0
-    dens = np.asarray(erl_pdf(x, p))
-    cdf = np.asarray(erl_cdf(x, p))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(cdf > 0.0, dens / cdf, np.inf)
-    return float(out[()]) if scalar else out
+    return _ratio(erl_pdf(x, p), erl_cdf(x, p))
 
 
 def erl_quantile(prob, p: ErlParams):
@@ -179,31 +223,35 @@ def erl_quantile(prob, p: ErlParams):
     T = -ln(1 - K) from it: K itself rounds to 1 there once b is small,
     which would send finite quantiles to +inf.
     """
-    scalar = np.ndim(prob) == 0
     pa = np.asarray(prob, dtype=np.float64)
     if pa.size and (np.any(pa < 0.0) or np.any(pa > 1.0) or not np.all(np.isfinite(pa))):
         raise ValueError("erl_quantile requires prob in [0, 1]")
     upper = pa > reg_inc_beta(0.5, p.a, p.b)
     t = np.empty_like(pa)
+    log_b = _log_beta(p.a, p.b)
     with np.errstate(divide="ignore", over="ignore"):
-        t[~upper] = -np.log1p(-np.asarray(inv_reg_inc_beta(pa[~upper], p.a, p.b)))
+        t[~upper] = -np.log1p(-inv_reg_inc_beta(pa[~upper], p.a, p.b))
         t[upper] = -np.log(_on_blocks(special.betainccinv, p.b, p.a, pa[upper]))
         # betainccinv stops at the smallest normal double (T = 708.4) once
         # 1 - K underflows; from T = 700 on, I_{1-K}(b, a) equals
         # (1-K)^b / (b B(a, b)) in doubles, which solves for T directly
         deep = t > _DEEP_T
-        t[deep] = -(np.log1p(-pa[deep]) + math.log(p.b) + _log_beta(p.a, p.b)) / p.b
-        v = np.asarray(_v_at(t, p.base.lam, p.base.beta))
+        t[deep] = -(np.log1p(-pa[deep]) + math.log(p.b) + log_b) / p.b
         # betaincinv likewise stops at 2.2e-308 once K underflows; below
         # 1e-300, I_K(a, b) = K^a / (a B(a, b)) and T = K in doubles, so
         # v = (2 T / beta)^(1 / (2 lam)) comes from ln K without forming K
         tiny = t < _TINY_T
-        log_t = (np.log(pa[tiny]) + math.log(p.a) + _log_beta(p.a, p.b)) / p.a
+        # betaincinv inverts betainc, which misses below _far_t
+        far = (t < _far_t(p.a, p.b)) & ~tiny
+        if far.any():
+            t[far] = -np.log1p(-np.exp(_far_log_k(np.log(pa[far]), p.a, p.b, log_b)))
+        v = np.asarray(_v_at(t, p.base.lam, p.base.beta))
+        log_t = (np.log(pa[tiny]) + math.log(p.a) + log_b) / p.a
     v[tiny] = np.exp((math.log(2.0 / p.base.beta) + log_t) / (2.0 * p.base.lam))
     # x = theta v - theta in place: erl_sample holds n-sized arrays here
     v *= p.base.theta
     v -= p.base.theta
-    return float(v[()]) if scalar else v
+    return _result(v)
 
 
 def erl_sample(n: int, p: ErlParams, seed) -> np.ndarray:

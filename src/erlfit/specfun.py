@@ -86,21 +86,23 @@ def _on_blocks(ufunc, *args):
 
 
 def _promote(*args):
-    """The arguments broadcast as float64 arrays, and whether all were scalars."""
-    scalar = all(np.ndim(a) == 0 for a in args)
-    return np.broadcast_arrays(*[np.asarray(a, dtype=np.float64) for a in args]), scalar
+    """The arguments broadcast as float64 arrays."""
+    return np.broadcast_arrays(*[np.asarray(a, dtype=np.float64) for a in args])
 
 
-def _maybe_scalar(out, scalar: bool):
-    return float(out) if scalar else out
+def _result(out):
+    """What a public elementwise function returns for out: a Python float
+    where out is 0-d, else out.  out takes the broadcast shape of the
+    inputs, so it is 0-d exactly when every input was a scalar."""
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def log_gamma(x):
     """Natural log of the gamma function for x > 0."""
-    (xa,), scalar = _promote(x)
+    (xa,) = _promote(x)
     if xa.size and (not np.all(np.isfinite(xa)) or np.any(xa <= 0.0)):
         raise ValueError("log_gamma requires finite x > 0")
-    return _maybe_scalar(special.gammaln(xa), scalar)
+    return _result(special.gammaln(xa))
 
 
 def _stirling_tail(y: float) -> float:
@@ -132,30 +134,30 @@ def _log_beta(a: float, b: float) -> float:
 
 def log_beta(a, b):
     """ln B(a, b) for a, b > 0 (see the module docstring for the method)."""
-    (aa, ba), scalar = _promote(a, b)
+    aa, ba = _promote(a, b)
     if aa.size and not (np.all(aa > 0.0) and np.all(ba > 0.0)):
         raise ValueError("log_beta requires a > 0 and b > 0")
     out = np.fromiter(map(_log_beta, aa.ravel().tolist(), ba.ravel().tolist()), np.float64, aa.size)
-    return _maybe_scalar(out.reshape(aa.shape), scalar)
+    return _result(out.reshape(aa.shape))
 
 
 def reg_inc_beta(x, a, b):
     """Regularized incomplete beta function I_x(a, b); exact at x = 0 and 1."""
-    (xa, aa, ba), scalar = _promote(x, a, b)
+    xa, aa, ba = _promote(x, a, b)
     if xa.size:
         if np.any(aa <= 0.0) or np.any(ba <= 0.0):
             raise ValueError("reg_inc_beta requires a > 0 and b > 0")
         if np.any(xa < 0.0) or np.any(xa > 1.0) or not np.all(np.isfinite(xa)):
             raise ValueError("reg_inc_beta requires x in [0, 1]")
-    return _maybe_scalar(special.betainc(aa, ba, xa), scalar)
+    return _result(special.betainc(aa, ba, xa))
 
 
 def inv_reg_inc_beta(prob, a, b):
     """Inverse of I_x(a, b) in x for prob in [0, 1]; endpoints map exactly."""
-    (pa, aa, ba), scalar = _promote(prob, a, b)
+    pa, aa, ba = _promote(prob, a, b)
     if pa.size:
         if np.any(aa <= 0.0) or np.any(ba <= 0.0):
             raise ValueError("inv_reg_inc_beta requires a > 0 and b > 0")
         if np.any(pa < 0.0) or np.any(pa > 1.0) or not np.all(np.isfinite(pa)):
             raise ValueError("inv_reg_inc_beta requires prob in [0, 1]")
-    return _maybe_scalar(_on_blocks(special.betaincinv, aa, ba, pa), scalar)
+    return _result(_on_blocks(special.betaincinv, aa, ba, pa))

@@ -10,6 +10,7 @@ remaining oracles.
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -17,7 +18,7 @@ from scipy.special import betainc, betaincinv, betaln
 from scipy.stats import exponweib, weibull_min
 
 from erlfit import specfun
-from erlfit.baseline import BaselineParams, baseline_moment_series
+from erlfit.baseline import BaselineParams, _v_at, baseline_moment_series
 from erlfit.core import (
     ErlParams,
     erl_cdf,
@@ -66,6 +67,10 @@ SMALL_A_POINT = ErlParams(0.01, 5.0, BaselineParams(1.0, 100.0, 1.0))
 # lam = 148: at x = -0.85828 v^(2 lam) = e^-755 lies below the smallest
 # double, while T = (beta/2) v^(2 lam) = 3.4e-321 is still one
 HIGH_POWER_POINT = ErlParams(0.5, 881078.3, BaselineParams(0.93076, 147.99, 9.1647e7))
+
+# a = 209.7: K^a leaves the doubles near K = 0.035, where I_K(a, b) is
+# still about 1e-270
+FAR_LOWER_POINT = ErlParams.from_values(209.7, 39.7, 0.01265, 18.74, 0.001227)
 
 MOMENT_SETS = [
     MIXED_SETS[0],
@@ -151,6 +156,18 @@ class TestCdf:
         x = -0.85828
         assert erl_cdf(x, HIGH_POWER_POINT) == pytest.approx(6.1787793558442212e-158, rel=1e-3)
         assert erl_pdf(x, HIGH_POWER_POINT) == pytest.approx(1.2615860332110741e-154, rel=1e-3)
+
+    @pytest.mark.parametrize("big_k", [0.025, 0.027, 0.0281606])
+    def test_far_lower_tail_against_mpmath(self, big_k):
+        # K^a < e^-700 here, where betainc gives 0.0 at K = 0.027 and is 40%
+        # off at K = 0.0281606; mpmath at 40 digits, at the double x
+        p = FAR_LOWER_POINT
+        theta, lam, beta = p.base.theta, p.base.lam, p.base.beta
+        x = theta * _v_at(-math.log1p(-big_k), lam, beta) - theta
+        with mpmath.workdps(40):
+            t = mpmath.mpf(beta) / 2 * ((theta + mpmath.mpf(x)) / theta) ** (2 * mpmath.mpf(lam))
+            ref = float(mpmath.betainc(p.a, p.b, 0, -mpmath.expm1(-t), regularized=True))
+        assert erl_cdf(x, p) == pytest.approx(ref, rel=1e-10)
 
     def test_exponent_below_subnormals(self):
         # x is mpmath's quantile at 1e-4 (see test_small_a_against_mpmath);
@@ -266,14 +283,10 @@ class TestQuantile:
         x_ref = -0.9900689167813681404
         assert erl_quantile(1e-4, SMALL_A_POINT) == pytest.approx(x_ref, rel=1e-12)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 12(c): the far lower tail at large a misses the round trip",
-    )
     def test_far_lower_tail_roundtrip(self):
-        # both probabilities come back as 1.1833e-280
-        p = ErlParams.from_values(209.7, 39.7, 0.01265, 18.74, 0.001227)
+        # betaincinv gives one K, 0.0281606, for both probabilities
         probs = np.array([3.7e-284, 1e-280])
+        p = FAR_LOWER_POINT
         assert erl_cdf(erl_quantile(probs, p), p) == pytest.approx(probs, rel=1e-10, abs=0.0)
 
     def test_beyond_the_doubles_is_inf_without_warning(self):
@@ -399,6 +412,22 @@ class TestMoments:
         except NumericalError:
             return
         assert got == pytest.approx(1.637479533060849e33, rel=1e-9)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=(AssertionError, NumericalError),
+        reason="ROADMAP item 14: LRLD's moments raise at b = 1e-12 and 1e-6, and read 0.0 at 1e6",
+    )
+    @pytest.mark.parametrize("b", [1e-12, 1e-6, 1e6])
+    def test_lrld_moments_are_rld_moments(self, b):
+        # LRLD at (1, b, theta, lam, beta / b) is the law of RLD at
+        # (1, 1, theta, lam, beta), here RLD's compare --seed 0 estimate,
+        # whose moments are the baseline's closed-form series
+        base = BaselineParams(0.0249999977, 0.1130861, 2.7238121)
+        lrld = ErlParams(1.0, b, BaselineParams(base.theta, base.lam, base.beta / b))
+        for r in (1, 2, 3, 4):
+            ref = baseline_moment_series(r, base)
+            assert erl_raw_moment(r, lrld) == pytest.approx(ref, rel=1e-10)
 
     def test_untrustworthy_quadrature_raises(self):
         # E[X] is about 5.8e567 here, which no double holds

@@ -89,6 +89,8 @@ def test_cdf_does_not_decrease(p, exponents):
 # a large lam at small a, and T ~ 1e-320 in the subnormals
 @example(ErlParams.from_values(0.01, 5.0, 1.0, 100.0, 1.0), [1e-4])
 @example(ErlParams.from_values(math.exp(-1.0), 1.0, 1.0, math.exp(3.0), 1.0), [math.exp(-271.0)])
+# K^a below the doubles at a = 209.7, where betainc loses I_K(a, b)
+@example(ErlParams.from_values(209.7, 39.7, 0.01265, 18.74, 0.001227), [3.7e-284])
 def test_cdf_inverts_quantile(p, probs):
     prob = np.asarray(probs)
     x = erl_quantile(prob, p)
