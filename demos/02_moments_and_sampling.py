@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from erlfit.baseline import BaselineParams, baseline_moment_series
+from erlfit.baseline import baseline_moment_series
 from erlfit.core import (
     ErlParams,
     erl_cv,
@@ -25,13 +25,13 @@ from erlfit.core import (
 )
 
 
-def triangulate(base, n_draws=200_000, seed=2026):
-    p = ErlParams(1.0, 1.0, base)
+def triangulate(theta, lam, beta, n_draws=200_000, seed=2026):
+    p = ErlParams(1.0, 1.0, theta, lam, beta)
     draws = erl_sample(n_draws, p, seed=seed)
-    print(f"baseline (theta={base.theta}, lam={base.lam}, beta={base.beta}), {n_draws} draws")
+    print(f"baseline (theta={theta}, lam={lam}, beta={beta}), {n_draws} draws")
     print("    r      series          quadrature      monte carlo     mc std err")
     for r in (1, 2, 3, 4):
-        series = baseline_moment_series(r, base)
+        series = baseline_moment_series(r, p)
         quad = erl_raw_moment(r, p)
         powers = draws**r
         mc = powers.mean()
@@ -44,15 +44,15 @@ def triangulate(base, n_draws=200_000, seed=2026):
 def main():
     print("Series vs quadrature vs sampling at a = b = 1")
     print("=" * 60)
-    triangulate(BaselineParams(1.0, 1.0, 1.0))
-    triangulate(BaselineParams(2.0, 1.5, 0.7))
-    triangulate(BaselineParams(0.5, 2.0, 3.0))
+    triangulate(1.0, 1.0, 1.0)
+    triangulate(2.0, 1.5, 0.7)
+    triangulate(0.5, 2.0, 3.0)
 
     print("Shape summaries as the baseline power lam grows (a=2, b=1.5)")
     print("=" * 60)
     print("    lam    skewness   excess kurtosis   coeff of variation")
     for lam in (0.6, 1.0, 1.5, 2.5, 4.0):
-        p = ErlParams(2.0, 1.5, BaselineParams(1.0, lam, 1.0))
+        p = ErlParams(2.0, 1.5, 1.0, lam, 1.0)
         print(
             f"    {lam:4.1f}  {erl_skewness(p):9.4f}  {erl_kurtosis(p):14.4f}"
             f"   {erl_cv(p):14.4f}"

@@ -9,13 +9,12 @@ extra parameters and point back at the lean truth.
 Run: python3 demos/03_fitting_and_model_choice.py  (about 15 seconds)
 """
 
-from erlfit.baseline import BaselineParams
 from erlfit.core import ErlParams, erl_sample
 from erlfit.estimation import Dataset, FitConfig, fit_mle, nll, standard_errors
 from erlfit.gof import info_criteria
 from erlfit.submodels import get_model
 
-TRUTH = ErlParams(1.0, 1.0, BaselineParams(theta=1.2, lam=1.4, beta=0.8))
+TRUTH = ErlParams(1.0, 1.0, theta=1.2, lam=1.4, beta=0.8)
 
 
 def main():

@@ -10,7 +10,6 @@ rejection looks like.
 Run: python3 demos/04_goodness_of_fit.py
 """
 
-from erlfit.baseline import BaselineParams
 from erlfit.core import ErlParams, erl_cdf
 from erlfit.datasets import SYNTHETIC_PARAMS, load_synthetic
 from erlfit.gof import (
@@ -41,19 +40,11 @@ def main():
           f"raw kurtosis {sample_kurtosis(data):.3f}")
     print()
 
-    generating = ErlParams(
-        SYNTHETIC_PARAMS["a"],
-        SYNTHETIC_PARAMS["b"],
-        BaselineParams(
-            SYNTHETIC_PARAMS["theta"],
-            SYNTHETIC_PARAMS["lam"],
-            SYNTHETIC_PARAMS["beta"],
-        ),
-    )
+    generating = ErlParams(**SYNTHETIC_PARAMS)
     report("At the generating parameter point (should be compatible):",
            data, generating)
 
-    wrong = ErlParams(3.0, 0.5, BaselineParams(1.0, 1.0, 1.0))
+    wrong = ErlParams(3.0, 0.5, 1.0, 1.0, 1.0)
     report("At a deliberately wrong point (should be rejected):",
            data, wrong)
 

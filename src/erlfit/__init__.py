@@ -6,7 +6,7 @@ EDF goodness-of-fit statistics and information criteria, plus a batch
 CLI (`erlfit`) over all of it.
 """
 
-from .baseline import BaselineParams, baseline_moment_series, baseline_quantile
+from .baseline import baseline_moment_series, baseline_quantile
 from .core import (
     ErlParams,
     erl_cdf,
@@ -51,7 +51,6 @@ from .submodels import DEFAULT_COMPARE, MODELS, ModelSpec, get_model
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaselineParams",
     "CriteriaReport",
     "DEFAULT_COMPARE",
     "Dataset",

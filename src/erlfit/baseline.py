@@ -1,8 +1,9 @@
 """Rayleigh-Lomax baseline distribution.
 
 Three positive parameters theta (scale/shift), lam (power) and beta
-(rate).  With v = (theta + x) / theta the cdf on the support x > -theta
-is
+(rate), the last three fields of the family's record core.ErlParams;
+the public functions here take that record and read only those.  With
+v = (theta + x) / theta the cdf on the support x > -theta is
 
     K(x) = 1 - exp(-(beta / 2) * v**(2 * lam))
 
@@ -26,27 +27,15 @@ traced benchmark (perfbench/tracing.py) wraps it by name.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NumericalError
 from .specfun import _result, log_gamma
 
-
-@dataclass(frozen=True)
-class BaselineParams:
-    """Parameter triple (theta, lam, beta), all strictly positive."""
-
-    theta: float
-    lam: float
-    beta: float
-
-    def __post_init__(self):
-        for name in ("theta", "lam", "beta"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise ValueError(f"BaselineParams.{name} must be a finite positive number")
+if TYPE_CHECKING:
+    from .core import ErlParams
 
 
 def _log_transform(x, theta, lam, beta):
@@ -107,13 +96,16 @@ def _v_at(t, lam, beta):
     return ((2.0 / beta) * t) ** (0.5 / lam)
 
 
-def _quantile_v(prob, p: BaselineParams):
-    """v such that K(theta (v - 1)) = prob, for prob in [0, 1)."""
+def _quantile_v(prob, p: ErlParams):
+    """v such that K(theta (v - 1)) = prob, for prob in [0, 1), with K
+    the baseline of p."""
     return _v_at(-np.log1p(-np.asarray(prob, dtype=np.float64)), p.lam, p.beta)
 
 
-def baseline_quantile(prob, p: BaselineParams):
-    """Inverse cdf: theta * (-(2/beta) ln(1-prob))**(1/(2 lam)) - theta.
+def baseline_quantile(prob, p: ErlParams):
+    """Inverse cdf of the baseline K of p, the law at a = b = 1:
+    theta * (-(2/beta) ln(1-prob))**(1/(2 lam)) - theta.  p's a and b
+    are not read.
 
     prob = 1 maps to +inf; values outside [0, 1] are a domain error.
     """
@@ -124,8 +116,9 @@ def baseline_quantile(prob, p: BaselineParams):
         return _result(np.where(pa == 1.0, np.inf, p.theta * _quantile_v(pa, p) - p.theta))
 
 
-def baseline_moment_series(r: int, p: BaselineParams) -> float:
-    """Closed-form r-th raw moment via the binomial/gamma series.
+def baseline_moment_series(r: int, p: ErlParams) -> float:
+    """Closed-form r-th raw moment of the baseline K of p, the law at
+    a = b = 1 (p's a and b are not read), via the binomial/gamma series.
 
     E[X^r] = sum_h C(r,h) theta^h (2/beta)^(h/(2 lam)) (-theta)^(r-h)
              * Gamma(h/(2 lam) + 1)

@@ -411,11 +411,11 @@ def _parse_params(text: str) -> ErlParams:
     if len(parts) != 5:
         raise InputError("--params expects five comma-separated values: a,b,theta,lambda,beta")
     try:
-        a, b, theta, lam, beta = (float(p) for p in parts)
+        values = [float(p) for p in parts]
     except ValueError as exc:
         raise InputError(f"--params values must be numeric: {exc}") from exc
     try:
-        return ErlParams.from_values(a=a, b=b, theta=theta, lam=lam, beta=beta)
+        return ErlParams(*values)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 

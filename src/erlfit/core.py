@@ -39,13 +39,13 @@ a silently wrong number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import integrate, special
 
 from .baseline import (
-    BaselineParams,
     _log1mexp,
     _log_exponent,
     _log_k_plus_t,
@@ -64,25 +64,29 @@ _FAR_LOG_POWER = -700.0
 
 @dataclass(frozen=True)
 class ErlParams:
-    """Shape pair (a, b) over a Rayleigh-Lomax baseline."""
+    """The family's five parameters: the shape pair (a, b) over the
+    Rayleigh-Lomax baseline's theta, lam and beta.  Each is a finite
+    positive real, stored as a float."""
 
     a: float
     b: float
-    base: BaselineParams
+    theta: float
+    lam: float
+    beta: float
 
     def __post_init__(self):
-        for name in ("a", "b"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise ValueError(f"ErlParams.{name} must be a finite positive number")
-
-    @classmethod
-    def from_values(cls, a, b, theta, lam, beta) -> "ErlParams":
-        return cls(a=a, b=b, base=BaselineParams(theta=theta, lam=lam, beta=beta))
+        for field in fields(self):
+            value = getattr(self, field.name)
+            # bool is an Integral, and so a Real, but never a parameter
+            if isinstance(value, bool) or not (
+                isinstance(value, numbers.Real) and math.isfinite(value) and value > 0
+            ):
+                raise ValueError(f"ErlParams.{field.name} must be a finite positive number")
+            object.__setattr__(self, field.name, float(value))
 
     def values(self) -> tuple[float, float, float, float, float]:
         """(a, b, theta, lam, beta)."""
-        return (self.a, self.b, self.base.theta, self.base.lam, self.base.beta)
+        return (self.a, self.b, self.theta, self.lam, self.beta)
 
 
 def _log_density(log_v, t, log_k, a, b, theta, lam, beta):
@@ -96,7 +100,7 @@ def _log_density(log_v, t, log_k, a, b, theta, lam, beta):
 def erl_pdf(x, p: ErlParams):
     """Density g(x); 0 at and outside the support boundary, and where
     v = (theta + x)/theta overflows (ln v = +inf would give inf - inf)."""
-    log_v, t, log_k = _log_transform(x, p.base.theta, p.base.lam, p.base.beta)
+    log_v, t, log_k = _log_transform(x, p.theta, p.lam, p.beta)
     with np.errstate(over="ignore"):
         out = np.where(np.isfinite(log_v), np.exp(_log_density(log_v, t, log_k, *p.values())), 0.0)
     return _result(out)
@@ -130,7 +134,7 @@ def _tail(x, p: ErlParams, survival: bool) -> np.ndarray:
     _far_t, where betainc loses G, G comes from _log_lower_tail at ln K;
     the survival there stays betaincc's.
     """
-    log_v, t, log_k = _log_transform(x, p.base.theta, p.base.lam, p.base.beta)
+    log_v, t, log_k = _log_transform(x, p.theta, p.lam, p.beta)
     big_k = -np.expm1(-t)
     tiny = t < _TINY_T
     lower = (big_k <= 0.5) & ~tiny
@@ -145,7 +149,7 @@ def _tail(x, p: ErlParams, survival: bool) -> np.ndarray:
     log_b = _log_beta(p.a, p.b)
     deep_survival = np.exp(-(p.b * t[deep] + math.log(p.b) + log_b))
     out[deep] = deep_survival if survival else 1.0 - deep_survival
-    log_t = _log_exponent(log_v[tiny], p.base.lam, p.base.beta)
+    log_t = _log_exponent(log_v[tiny], p.lam, p.beta)
     tiny_cdf = np.exp(p.a * log_t - math.log(p.a) - log_b)
     out[tiny] = 1.0 - tiny_cdf if survival else tiny_cdf
     if not survival:
@@ -245,12 +249,12 @@ def erl_quantile(prob, p: ErlParams):
         far = (t < _far_t(p.a, p.b)) & ~tiny
         if far.any():
             t[far] = -np.log1p(-np.exp(_far_log_k(np.log(pa[far]), p.a, p.b, log_b)))
-        v = np.asarray(_v_at(t, p.base.lam, p.base.beta))
+        v = np.asarray(_v_at(t, p.lam, p.beta))
         log_t = (np.log(pa[tiny]) + math.log(p.a) + log_b) / p.a
-    v[tiny] = np.exp((math.log(2.0 / p.base.beta) + log_t) / (2.0 * p.base.lam))
+    v[tiny] = np.exp((math.log(2.0 / p.beta) + log_t) / (2.0 * p.lam))
     # x = theta v - theta in place: erl_sample holds n-sized arrays here
-    v *= p.base.theta
-    v -= p.base.theta
+    v *= p.theta
+    v -= p.theta
     return _result(v)
 
 
@@ -266,8 +270,11 @@ def erl_raw_moment(r: int, p: ErlParams) -> float:
     docstring), asking QUADPACK for 1e-10 relative error in each half.
 
     Raises NumericalError where QUADPACK reports that it failed, where
-    the integrand overflows a double (at a moment too large for one), or
-    where the sum is not finite.
+    the integrand overflows a double (at a moment too large for one),
+    where the sum is not finite, or where an even moment is not
+    positive, as it is for every continuous law: such a sum has
+    underflowed or missed the mass.  An odd moment has no such sign
+    check, so one that comes out 0 or of the wrong sign passes.
     """
     if not isinstance(r, (int, np.integer)) or r < 0:
         raise ValueError("moment order r must be a nonnegative integer")
@@ -307,7 +314,7 @@ def erl_raw_moment(r: int, p: ErlParams) -> float:
         if len(half) > 3:
             raise NumericalError(f"raw moment r={r}: QUADPACK: {half[3].splitlines()[0]}")
     total = halves[0][0] + halves[1][0]
-    if not math.isfinite(total):
+    if not math.isfinite(total) or (r % 2 == 0 and total <= 0.0):
         raise NumericalError(f"raw moment r={r}: quadrature gave {total}")
     return total
 
@@ -386,10 +393,10 @@ def normalization_check(p: ErlParams) -> float:
             # 0/0 at the support ends; the continuous extension is 1/B(a,b)
             return math.exp(-lnb)
         with np.errstate(divide="ignore"):
-            log_v = np.log(_quantile_v(u, p.base))
-        t = float(np.exp(_log_exponent(log_v, p.base.lam, p.base.beta)))
+            log_v = np.log(_quantile_v(u, p))
+        t = float(np.exp(_log_exponent(log_v, p.lam, p.beta)))
         log_g = float(_log_density(log_v, t, _log1mexp(t), *p.values()))
-        log_k = float(_log_k_plus_t(log_v, p.base.theta, p.base.lam, p.base.beta)) - t
+        log_k = float(_log_k_plus_t(log_v, p.theta, p.lam, p.beta)) - t
         return math.exp(
             log_g - log_k - (a - 1.0) * math.log(u) - (b - 1.0) * math.log1p(-u)
         )

@@ -368,7 +368,7 @@ def fit_ladder(specs: Sequence[ModelSpec], data: Dataset, cfg: FitConfig) -> lis
                 row = values_at(final.x[None, :], np.array([model]))[0]
                 fits[model] = FitResult(
                     spec=specs[model],
-                    params=ErlParams.from_values(*row.tolist()),
+                    params=ErlParams(*row.tolist()),
                     nll=float(final.fun),
                     n=data.n,
                     k=specs[model].free_count,

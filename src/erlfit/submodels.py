@@ -58,7 +58,7 @@ class ModelSpec:
         full = self.fixed_map
         for name, value in zip(self.free_names, free_values):
             full[name] = value
-        return ErlParams.from_values(**full)
+        return ErlParams(**full)
 
     def extract(self, params: ErlParams) -> tuple[float, ...]:
         """Free-parameter values of `params` in registry order."""

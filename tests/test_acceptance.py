@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from erlfit.baseline import BaselineParams, baseline_moment_series
+from erlfit.baseline import baseline_moment_series
 from erlfit.cli import REPORT_SCHEMA, main
 from erlfit.core import (
     ErlParams,
@@ -82,14 +82,9 @@ def test_criterion_02_normalization():
     levels = (0.5, 1.0, 3.0)
     worst = 0.0
     for a, b, theta, lam, beta in itertools.product(levels, repeat=5):
-        p = ErlParams(a, b, BaselineParams(theta, lam, beta))
+        p = ErlParams(a, b, theta, lam, beta)
         worst = max(worst, abs(normalization_check(p) - 1.0))
-    estimate_point = ErlParams(
-        SYNTHETIC_PARAMS["a"],
-        SYNTHETIC_PARAMS["b"],
-        BaselineParams(SYNTHETIC_PARAMS["theta"], SYNTHETIC_PARAMS["lam"], SYNTHETIC_PARAMS["beta"]),
-    )
-    worst = max(worst, abs(normalization_check(estimate_point) - 1.0))
+    worst = max(worst, abs(normalization_check(ErlParams(**SYNTHETIC_PARAMS)) - 1.0))
     assert worst <= 1e-8
 
 
@@ -118,7 +113,7 @@ def _reduction_cases():
             big_k, dens = _k_and_dens(x, theta, lam, beta)
             return b * (1.0 - big_k) ** (b - 1.0) * dens
 
-        return ErlParams(a, b, BaselineParams(theta, lam, beta)), cdf, pdf
+        return ErlParams(a, b, theta, lam, beta), cdf, pdf
 
     def exponentiated(a, b, theta, lam, beta):
         def cdf(x):
@@ -129,7 +124,7 @@ def _reduction_cases():
             big_k, dens = _k_and_dens(x, theta, lam, beta)
             return a * big_k ** (a - 1.0) * dens
 
-        return ErlParams(a, b, BaselineParams(theta, lam, beta)), cdf, pdf
+        return ErlParams(a, b, theta, lam, beta), cdf, pdf
 
     def beta_generated(a, b, theta, lam, beta):
         def cdf(x):
@@ -140,18 +135,16 @@ def _reduction_cases():
             big_k, dens = _k_and_dens(x, theta, lam, beta)
             return big_k ** (a - 1.0) * (1.0 - big_k) ** (b - 1.0) * dens / sp.beta(a, b)
 
-        return ErlParams(a, b, BaselineParams(theta, lam, beta)), cdf, pdf
+        return ErlParams(a, b, theta, lam, beta), cdf, pdf
 
     def parent(theta, lam, beta):
-        base = BaselineParams(theta, lam, beta)
-
         def cdf(x):
             return _k_and_dens(x, theta, lam, beta)[0]
 
         def pdf(x):
             return _k_and_dens(x, theta, lam, beta)[1]
 
-        return ErlParams(1.0, 1.0, base), cdf, pdf
+        return ErlParams(1.0, 1.0, theta, lam, beta), cdf, pdf
 
     def rayleigh(beta):
         def cdf(x):
@@ -160,7 +153,7 @@ def _reduction_cases():
         def pdf(x):
             return beta * (1.0 + x) * np.exp(-0.5 * beta * (1.0 + x) ** 2)
 
-        return ErlParams(1.0, 1.0, BaselineParams(1.0, 1.0, beta)), cdf, pdf
+        return ErlParams(1.0, 1.0, 1.0, 1.0, beta), cdf, pdf
 
     return [
         ("a=1 survival power", lehmann(1.0, 2.3, 1.4, 0.9, 1.7)),
@@ -186,7 +179,7 @@ def test_criterion_03_submodel_reductions():
 
 
 def test_criterion_04_exponential_closed_forms():
-    p = ErlParams(1.0, 1.0, BaselineParams(1.0, 0.5, 2.0))
+    p = ErlParams(1.0, 1.0, 1.0, 0.5, 2.0)
     x = np.linspace(-0.999, 9.0, 200)
     np.testing.assert_allclose(erl_cdf(x, p), -np.expm1(-(1.0 + x)), atol=1e-8)
     np.testing.assert_allclose(erl_pdf(x, p), np.exp(-(1.0 + x)), atol=1e-8)
@@ -211,11 +204,10 @@ def test_criterion_05_moment_triangulation():
         (1.5, 3.0, 1.2),
     ]
     for i, (theta, lam, beta) in enumerate(sets):
-        base = BaselineParams(theta, lam, beta)
-        p = ErlParams(1.0, 1.0, base)
+        p = ErlParams(1.0, 1.0, theta, lam, beta)
         draws = erl_sample(1_000_000, p, seed=314159 + i)
         for r in (1, 2, 3, 4):
-            series = baseline_moment_series(r, base)
+            series = baseline_moment_series(r, p)
             quad = erl_raw_moment(r, p)
             assert abs(quad - series) <= 1e-6 * max(1.0, abs(series)), (i, r)
             powers = draws**r
@@ -229,24 +221,24 @@ def test_criterion_06_score_gradient():
     for _ in range(100):
         a = float(np.exp(rng.uniform(np.log(0.3), np.log(8.0))))
         b = float(np.exp(rng.uniform(np.log(0.3), np.log(8.0))))
-        base = BaselineParams(
+        base = (
             float(np.exp(rng.uniform(np.log(0.3), np.log(3.0)))),
             float(np.exp(rng.uniform(np.log(0.4), np.log(2.5)))),
             float(np.exp(rng.uniform(np.log(0.3), np.log(3.0)))),
         )
-        p = ErlParams(a, b, base)
+        p = ErlParams(a, b, *base)
         data = Dataset(erl_sample(30, p, seed=int(rng.integers(1 << 31))))
         sa, sb = score_ab(p, data)
         h = 1e-6 * max(1.0, a)
-        fd_a = -(nll(ErlParams(a + h, b, base), data) - nll(ErlParams(a - h, b, base), data)) / (2 * h)
+        fd_a = -(nll(ErlParams(a + h, b, *base), data) - nll(ErlParams(a - h, b, *base), data)) / (2 * h)
         h = 1e-6 * max(1.0, b)
-        fd_b = -(nll(ErlParams(a, b + h, base), data) - nll(ErlParams(a, b - h, base), data)) / (2 * h)
+        fd_b = -(nll(ErlParams(a, b + h, *base), data) - nll(ErlParams(a, b - h, *base), data)) / (2 * h)
         assert abs(sa - fd_a) <= 1e-5 * max(1.0, abs(sa))
         assert abs(sb - fd_b) <= 1e-5 * max(1.0, abs(sb))
 
 
 def test_criterion_07_mle_self_consistency():
-    true = ErlParams(2.0, 1.5, BaselineParams(1.0, 1.0, 1.0))
+    true = ErlParams(2.0, 1.5, 1.0, 1.0, 1.0)
     spec = get_model("ERLD")
     cfg = FitConfig(starts=1, seed=0)
     lam_rel_errors = []
@@ -254,7 +246,7 @@ def test_criterion_07_mle_self_consistency():
         data = Dataset(erl_sample(2000, true, seed=seed))
         fit = fit_mle(spec, data, cfg)
         assert fit.nll <= nll(true, data) + 1e-3, seed
-        lam_rel_errors.append(abs(fit.params.base.lam - 1.0))
+        lam_rel_errors.append(abs(fit.params.lam - 1.0))
     assert float(np.median(lam_rel_errors)) <= 0.15
 
 
@@ -335,7 +327,7 @@ def test_criterion_09_sampling_ks():
     bar = 1.63 / math.sqrt(n)
     ranks = np.arange(1, n + 1)
     for a, b, theta, lam, beta in sets:
-        p = ErlParams(a, b, BaselineParams(theta, lam, beta))
+        p = ErlParams(a, b, theta, lam, beta)
         for seed in range(101, 106):
             u = np.asarray(erl_cdf(np.sort(erl_sample(n, p, seed=seed)), p))
             d = max(np.max(ranks / n - u), np.max(u - (ranks - 1) / n))

@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erlfit import cli
-from erlfit.baseline import BaselineParams
 from erlfit.cli import REPORT_SCHEMA, ingest, main
 from erlfit.core import ErlParams, erl_cdf, erl_sample
 from erlfit.datasets import synthetic_path
@@ -38,7 +37,7 @@ POWER_PARAMS = "2,1,1,0.5,2"
 
 @pytest.fixture(scope="module")
 def data_file(tmp_path_factory):
-    draws = erl_sample(150, ErlParams(1.0, 1.0, BaselineParams(1.0, 1.0, 1.0)), seed=7)
+    draws = erl_sample(150, ErlParams(1.0, 1.0, 1.0, 1.0, 1.0), seed=7)
     path = tmp_path_factory.mktemp("cli-data") / "data.txt"
     path.write_text("\n".join(repr(float(v)) for v in draws) + "\n", encoding="utf-8")
     return str(path)
@@ -545,6 +544,11 @@ class TestMoments:
         assert "erlfit: numerical error" in err
         assert "integrand overflows a double" in err
 
+    def test_even_moment_of_zero_exits_three(self, capsys):
+        # LRLD at b = 1e6, where the quadrature sums E[X^2] to 0.0
+        assert main(["moments", "--params", "1,1e6,0.0249999977,0.1130861,2.7238121e-6"]) == 3
+        assert "raw moment r=2: quadrature gave 0.0" in capsys.readouterr().err
+
     def test_bundled_law(self, tmp_path):
         out = tmp_path / "m.json"
         assert main(["moments", "--params", "0.801,5.5,0.025,0.113,0.501",
@@ -559,7 +563,7 @@ class TestMoments:
 
 class TestConvergenceFailure:
     def test_exit_two_and_report_still_written(self, data_file, tmp_path, monkeypatch):
-        sham_params = ErlParams(1.0, 1.0, BaselineParams(1.0, 1.0, 1.0))
+        sham_params = ErlParams(1.0, 1.0, 1.0, 1.0, 1.0)
 
         def never_converges(specs, data, cfg):
             return [FitResult(spec=spec, params=sham_params, nll=150.0,

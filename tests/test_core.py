@@ -18,7 +18,7 @@ from scipy.special import betainc, betaincinv, betaln
 from scipy.stats import exponweib, weibull_min
 
 from erlfit import specfun
-from erlfit.baseline import BaselineParams, _v_at, baseline_moment_series
+from erlfit.baseline import _v_at, baseline_moment_series
 from erlfit.core import (
     ErlParams,
     erl_cdf,
@@ -35,64 +35,81 @@ from erlfit.core import (
     erl_survival,
     normalization_check,
 )
-from erlfit.datasets import SYNTHETIC_PARAMS
+from erlfit.datasets import SYNTHETIC_PARAMS, SYNTHETIC_SEED, synthetic_path
 from erlfit.errors import NumericalError
+from erlfit.submodels import PARAM_NAMES
 
-EXP_BASE = BaselineParams(theta=1.0, lam=0.5, beta=2.0)
-EXP_POINT = ErlParams(1.0, 1.0, EXP_BASE)
+EXP_BASE = {"theta": 1.0, "lam": 0.5, "beta": 2.0}
+EXP_POINT = ErlParams(1.0, 1.0, **EXP_BASE)
 # EXP_BASE as scipy's Weibull law: shape 2 lam = 1, location -theta
 EXP_WEIBULL = weibull_min(1.0, loc=-1.0, scale=1.0)
-POWER_POINT = ErlParams(2.0, 1.0, EXP_BASE)
+POWER_POINT = ErlParams(2.0, 1.0, **EXP_BASE)
 
 # hand values at x=0 for the anchors above
 K0 = 1.0 - math.exp(-1.0)
 k0 = math.exp(-1.0)
 
 MIXED_SETS = [
-    ErlParams(2.0, 3.0, BaselineParams(1.0, 1.0, 1.0)),
-    ErlParams(0.7, 1.8, BaselineParams(2.0, 0.8, 0.5)),
-    ErlParams(3.5, 0.4, BaselineParams(0.5, 1.5, 2.0)),
-    ErlParams(1.2, 1.2, BaselineParams(1.5, 2.0, 1.0)),
+    ErlParams(2.0, 3.0, 1.0, 1.0, 1.0),
+    ErlParams(0.7, 1.8, 2.0, 0.8, 0.5),
+    ErlParams(3.5, 0.4, 0.5, 1.5, 2.0),
+    ErlParams(1.2, 1.2, 1.5, 2.0, 1.0),
 ]
 
 # b = 0.01: I^{-1}_p(a, b) rounds to 1 for most p, so the quantile has
 # to come from the complementary inverse 1 - K
-SMALL_B_POINT = ErlParams(20.0, 0.01, BaselineParams(0.02, 0.25, 4.0))
+SMALL_B_POINT = ErlParams(20.0, 0.01, 0.02, 0.25, 4.0)
 # b = 0.001: the survival I_{exp(-T)}(b, a) is still large at T > 745,
 # where exp(-T) has underflowed to 0
-DEEP_TAIL_POINT = ErlParams(2.0, 0.001, BaselineParams(1.0, 1.0, 1.0))
+DEEP_TAIL_POINT = ErlParams(2.0, 0.001, 1.0, 1.0, 1.0)
 # a = 0.01, lam = 100: K = I^{-1}_p(a, b) lies far below the smallest
 # double at p = 1e-4, yet x is well inside the support
-SMALL_A_POINT = ErlParams(0.01, 5.0, BaselineParams(1.0, 100.0, 1.0))
+SMALL_A_POINT = ErlParams(0.01, 5.0, 1.0, 100.0, 1.0)
 # lam = 148: at x = -0.85828 v^(2 lam) = e^-755 lies below the smallest
 # double, while T = (beta/2) v^(2 lam) = 3.4e-321 is still one
-HIGH_POWER_POINT = ErlParams(0.5, 881078.3, BaselineParams(0.93076, 147.99, 9.1647e7))
+HIGH_POWER_POINT = ErlParams(0.5, 881078.3, 0.93076, 147.99, 9.1647e7)
 
 # a = 209.7: K^a leaves the doubles near K = 0.035, where I_K(a, b) is
 # still about 1e-270
-FAR_LOWER_POINT = ErlParams.from_values(209.7, 39.7, 0.01265, 18.74, 0.001227)
+FAR_LOWER_POINT = ErlParams(209.7, 39.7, 0.01265, 18.74, 0.001227)
 
 MOMENT_SETS = [
     MIXED_SETS[0],
     MIXED_SETS[2],
     MIXED_SETS[3],
-    ErlParams(0.7, 1.8, BaselineParams(2.0, 1.2, 0.5)),
+    ErlParams(0.7, 1.8, 2.0, 1.2, 0.5),
     MIXED_SETS[1],
     # the law the bundled data was drawn from
-    ErlParams.from_values(**SYNTHETIC_PARAMS),
+    ErlParams(**SYNTHETIC_PARAMS),
 ]
 
 
 class TestParams:
     def test_rejects_nonpositive_shapes(self):
         with pytest.raises(ValueError):
-            ErlParams(-1.0, 1.0, EXP_BASE)
+            ErlParams(-1.0, 1.0, **EXP_BASE)
         with pytest.raises(ValueError):
-            ErlParams(1.0, 0.0, EXP_BASE)
+            ErlParams(1.0, 0.0, **EXP_BASE)
 
-    def test_from_values_and_back(self):
-        p = ErlParams.from_values(a=2.0, b=1.0, theta=1.0, lam=0.5, beta=2.0)
+    def test_values_round_trip(self):
+        p = ErlParams(a=2.0, b=1.0, theta=1.0, lam=0.5, beta=2.0)
         assert p.values() == (2.0, 1.0, 1.0, 0.5, 2.0)
+        assert ErlParams(*p.values()) == p == ErlParams(2.0, 1.0, 1.0, 0.5, 2.0)
+
+    @pytest.mark.parametrize("field", PARAM_NAMES)
+    @pytest.mark.parametrize("value", [np.int64(2), np.float32(2.0), 2])
+    def test_accepts_any_real_as_float(self, field, value):
+        p = ErlParams(**{**dict.fromkeys(PARAM_NAMES, 1.0), field: value})
+        assert type(getattr(p, field)) is float
+        assert getattr(p, field) == 2.0
+
+    @pytest.mark.parametrize("field", PARAM_NAMES)
+    @pytest.mark.parametrize(
+        "value", [True, np.bool_(True), "2", 0, 0.0, -1.0, math.nan, math.inf, -math.inf]
+    )
+    def test_rejects_non_positive_or_non_real(self, field, value):
+        with pytest.raises(ValueError, match=rf"^ErlParams\.{field} must be a finite positive number$"):
+            ErlParams(**{**dict.fromkeys(PARAM_NAMES, 1.0), field: value})
 
 
 class TestPdf:
@@ -110,10 +127,10 @@ class TestPdf:
     @pytest.mark.parametrize(
         "x, p",
         [
-            (math.inf, ErlParams(2.0, 1.5, BaselineParams(1.0, 1.0, 1.0))),
-            (math.inf, ErlParams(2.0, 1.5, BaselineParams(1.0, 0.5, 1.0))),
+            (math.inf, ErlParams(2.0, 1.5, 1.0, 1.0, 1.0)),
+            (math.inf, ErlParams(2.0, 1.5, 1.0, 0.5, 1.0)),
             # a finite x inside the support where v = (theta + x)/theta overflows
-            (1e300, ErlParams(2.0, 1.5, BaselineParams(1e-10, 1.0, 1.0))),
+            (1e300, ErlParams(2.0, 1.5, 1e-10, 1.0, 1.0)),
         ],
     )
     def test_zero_where_v_overflows(self, x, p):
@@ -125,7 +142,7 @@ class TestPdf:
 
     @pytest.mark.parametrize("p", MIXED_SETS)
     def test_nonnegative(self, p):
-        x = np.linspace(-p.base.theta + 1e-6, 10.0 * p.base.theta, 400)
+        x = np.linspace(-p.theta + 1e-6, 10.0 * p.theta, 400)
         assert np.all(erl_pdf(x, p) >= 0.0)
 
     @pytest.mark.parametrize("p", MIXED_SETS)
@@ -133,7 +150,7 @@ class TestPdf:
         lo = erl_quantile(0.05, p)
         hi = erl_quantile(0.95, p)
         x = np.linspace(lo, hi, 60)
-        h = 1e-6 * p.base.theta
+        h = 1e-6 * p.theta
         fd = (erl_cdf(x + h, p) - erl_cdf(x - h, p)) / (2.0 * h)
         assert np.max(np.abs(erl_pdf(x, p) - fd)) <= 1e-5
 
@@ -162,7 +179,7 @@ class TestCdf:
         # K^a < e^-700 here, where betainc gives 0.0 at K = 0.027 and is 40%
         # off at K = 0.0281606; mpmath at 40 digits, at the double x
         p = FAR_LOWER_POINT
-        theta, lam, beta = p.base.theta, p.base.lam, p.base.beta
+        theta, lam, beta = p.theta, p.lam, p.beta
         x = theta * _v_at(-math.log1p(-big_k), lam, beta) - theta
         with mpmath.workdps(40):
             t = mpmath.mpf(beta) / 2 * ((theta + mpmath.mpf(x)) / theta) ** (2 * mpmath.mpf(lam))
@@ -177,7 +194,7 @@ class TestCdf:
 
     @pytest.mark.parametrize("p", MIXED_SETS)
     def test_monotone_within_unit_interval(self, p):
-        x = np.linspace(-p.base.theta, 20.0 * p.base.theta, 500)
+        x = np.linspace(-p.theta, 20.0 * p.theta, 500)
         vals = erl_cdf(x, p)
         assert np.all(np.diff(vals) >= 0.0)
         assert np.all((vals >= 0.0) & (vals <= 1.0))
@@ -189,7 +206,7 @@ class TestSurvivalHazard:
 
     @pytest.mark.parametrize("p", MIXED_SETS)
     def test_survival_complements_cdf(self, p):
-        x = np.linspace(-p.base.theta + 0.01, 8.0 * p.base.theta, 300)
+        x = np.linspace(-p.theta + 0.01, 8.0 * p.theta, 300)
         total = erl_cdf(x, p) + erl_survival(x, p)
         assert np.max(np.abs(total - 1.0)) <= 1e-12
 
@@ -291,7 +308,7 @@ class TestQuantile:
 
     def test_beyond_the_doubles_is_inf_without_warning(self):
         # lam = 0.0017: the quantile at 0.368 is about 10^1400
-        p = ErlParams.from_values(0.98438, 0.047210, 1.0, 0.0016740, 0.026589)
+        p = ErlParams(0.98438, 0.047210, 1.0, 0.0016740, 0.026589)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert erl_quantile(0.368, p) == math.inf
@@ -326,7 +343,7 @@ class TestSample:
     @pytest.mark.parametrize("p", MIXED_SETS)
     def test_support(self, p):
         x = erl_sample(2_000, p, seed=9)
-        assert np.all(x > -p.base.theta)
+        assert np.all(x > -p.theta)
 
     def test_small_b_draws_are_finite(self):
         assert np.all(np.isfinite(erl_sample(1000, SMALL_B_POINT, seed=0)))
@@ -347,6 +364,15 @@ class TestSample:
         for cpus in (2, 3, 5):
             assert np.array_equal(draws(cpus).view(np.uint64), one.view(np.uint64))
 
+    def test_bundled_data_is_the_documented_draw(self):
+        # the file is frozen: today's sampler differs from it by up to
+        # 7.3e-13 relative, so regenerating it would move every report
+        # made from the bundled data
+        with open(synthetic_path(), encoding="utf-8") as handle:
+            bundled = np.array([float(line) for line in handle.read().splitlines()[1:]])
+        drawn = erl_sample(37, ErlParams(**SYNTHETIC_PARAMS), SYNTHETIC_SEED)
+        np.testing.assert_allclose(bundled, drawn, rtol=1e-10, atol=0.0)
+
 
 class TestMoments:
     def test_zeroth(self):
@@ -364,7 +390,7 @@ class TestMoments:
         # the oracle integrates to infinity: truncating at a far
         # quantile silently drops tail mass when b < 1
         ref, _ = integrate.quad(
-            lambda t: t**r * erl_pdf(t, p), -p.base.theta, np.inf, limit=400
+            lambda t: t**r * erl_pdf(t, p), -p.theta, np.inf, limit=400
         )
         got = erl_raw_moment(r, p)
         assert abs(got - ref) <= 1e-6 * max(1.0, abs(ref))
@@ -379,14 +405,13 @@ class TestMoments:
 
     def test_heavy_tail_mean_matches_closed_form(self):
         # at a = b = 1 the mean is 2^10 10! - 1 = 3,715,891,199
-        base = BaselineParams(1.0, 0.05, 1.0)
-        series = baseline_moment_series(1, base)
-        assert erl_raw_moment(1, ErlParams(1.0, 1.0, base)) == pytest.approx(series, rel=1e-10)
+        p = ErlParams(1.0, 1.0, 1.0, 0.05, 1.0)
+        assert erl_raw_moment(1, p) == pytest.approx(baseline_moment_series(1, p), rel=1e-10)
 
     def test_large_a_against_mpmath(self):
         # mpmath at 40 digits, over y = K between beta quantiles; with
         # y^(a-1) in QUADPACK's weight at a = 70 the mean was 4% off, unflagged
-        p = ErlParams(70.0, 200.0, BaselineParams(0.12, 1.25, 10.0))
+        p = ErlParams(70.0, 200.0, 0.12, 1.25, 10.0)
         assert erl_raw_moment(1, p) == pytest.approx(-0.081084086980798545, rel=1e-10)
 
     def test_edge_estimate_mean_against_mpmath(self):
@@ -394,7 +419,7 @@ class TestMoments:
         # meets ln(1 - e^-T) near T = ln a = 30: as ln(-expm1(-T)) it loses
         # the digits of e^-T and QUADPACK flags roundoff; mpmath at 40
         # digits, integrating in T, gives 0.38500073726685994
-        p = ErlParams.from_values(
+        p = ErlParams(
             10686427128827.076,
             0.0012581886605270633,
             0.024999997691588803,
@@ -406,7 +431,7 @@ class TestMoments:
     def test_refuses_rather_than_misses(self):
         # compare's ERLD estimate on the bundled data; mpmath at 30 digits
         # gives 1.637479533060849e33, and the sum QUADPACK flags is 2.8e-5 off
-        p = ErlParams(1.07e13, 0.00126, BaselineParams(0.025, 0.113, 0.5))
+        p = ErlParams(1.07e13, 0.00126, 0.025, 0.113, 0.5)
         try:
             got = erl_raw_moment(2, p)
         except NumericalError:
@@ -416,22 +441,36 @@ class TestMoments:
     @pytest.mark.xfail(
         strict=True,
         raises=(AssertionError, NumericalError),
-        reason="ROADMAP item 14: LRLD's moments raise at b = 1e-12 and 1e-6, and read 0.0 at 1e6",
+        reason="ROADMAP item 14: LRLD's moments raise at b = 1e-12 and 1e-6, and its mean reads 0.0 at 1e6",
     )
     @pytest.mark.parametrize("b", [1e-12, 1e-6, 1e6])
     def test_lrld_moments_are_rld_moments(self, b):
         # LRLD at (1, b, theta, lam, beta / b) is the law of RLD at
         # (1, 1, theta, lam, beta), here RLD's compare --seed 0 estimate,
         # whose moments are the baseline's closed-form series
-        base = BaselineParams(0.0249999977, 0.1130861, 2.7238121)
-        lrld = ErlParams(1.0, b, BaselineParams(base.theta, base.lam, base.beta / b))
+        rld = ErlParams(1.0, 1.0, 0.0249999977, 0.1130861, 2.7238121)
+        lrld = ErlParams(1.0, b, rld.theta, rld.lam, rld.beta / b)
         for r in (1, 2, 3, 4):
-            ref = baseline_moment_series(r, base)
+            ref = baseline_moment_series(r, rld)
             assert erl_raw_moment(r, lrld) == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            ErlParams(1.0, 1e6, 0.0249999977, 0.1130861, 2.7238121e-6),
+            ErlParams(1.0, 1e6, 1.0, 1.0, 2e-6),
+        ],
+    )
+    def test_even_moment_of_zero_raises(self, p):
+        # the quadrature misses the mass here and sums E[X^2] to 0.0,
+        # while an even moment of a continuous law is positive; the odd
+        # r = 1 still reads 0.0 unflagged (ROADMAP item 14)
+        with pytest.raises(NumericalError, match="r=2"):
+            erl_raw_moment(2, p)
 
     def test_untrustworthy_quadrature_raises(self):
         # E[X] is about 5.8e567 here, which no double holds
-        heavy = ErlParams(1.0, 1.0, BaselineParams(1.0, 0.002, 1.0))
+        heavy = ErlParams(1.0, 1.0, 1.0, 0.002, 1.0)
         with pytest.raises(NumericalError):
             erl_raw_moment(1, heavy)
 
@@ -449,7 +488,7 @@ class TestMoments:
     def test_cv(self):
         # doubling beta to 1 keeps the law exponential but moves the
         # mean to 1 with sd 2: X = 2E - 1
-        stretched = ErlParams(1.0, 1.0, BaselineParams(1.0, 0.5, 1.0))
+        stretched = ErlParams(1.0, 1.0, 1.0, 0.5, 1.0)
         assert erl_cv(stretched) == pytest.approx(2.0, abs=1e-7)
         assert math.isnan(erl_cv(EXP_POINT))
 
@@ -465,11 +504,11 @@ class TestNormalization:
         assert normalization_check(EXP_POINT) == pytest.approx(1.0, abs=1e-10)
 
     def test_generic_point(self):
-        p = ErlParams(2.5, 0.7, BaselineParams(3.0, 1.2, 0.4))
+        p = ErlParams(2.5, 0.7, 3.0, 1.2, 0.4)
         assert normalization_check(p) == pytest.approx(1.0, abs=1e-8)
 
     def test_spiky_stress_point(self):
-        p = ErlParams(0.801, 5.5, BaselineParams(0.025, 0.113, 0.501))
+        p = ErlParams(0.801, 5.5, 0.025, 0.113, 0.501)
         assert normalization_check(p) == pytest.approx(1.0, abs=1e-8)
 
 
@@ -489,7 +528,7 @@ def beta_weibull_cases():
         sigma = theta * (2.0 / beta) ** (1.0 / k)
         x = -theta + sigma * t ** (1.0 / k)
         weibull = {"c": k, "loc": -theta, "scale": sigma}
-        cases.append((ErlParams.from_values(a, b, theta, lam, beta), x[x + theta > 0], weibull))
+        cases.append((ErlParams(a, b, theta, lam, beta), x[x + theta > 0], weibull))
     return cases
 
 
@@ -550,7 +589,7 @@ class TestBetaWeibullOracle:
         for p, x, weibull in beta_weibull_cases:
             with np.errstate(all="ignore"):
                 ref = weibull_min.pdf(x, **weibull)
-            checked += _assert_rel(erl_pdf(x, ErlParams(1.0, 1.0, p.base)), ref, ref > 1e-300)
+            checked += _assert_rel(erl_pdf(x, ErlParams(1.0, 1.0, *p.values()[2:])), ref, ref > 1e-300)
         assert checked > 2000
 
     def test_exprld_pdf_is_exponentiated_weibull(self, beta_weibull_cases):
@@ -558,7 +597,7 @@ class TestBetaWeibullOracle:
         for p, x, weibull in beta_weibull_cases:
             with np.errstate(all="ignore"):
                 ref = exponweib.pdf(x, p.a, **weibull)
-            checked += _assert_rel(erl_pdf(x, ErlParams(p.a, 1.0, p.base)), ref, ref > 1e-300)
+            checked += _assert_rel(erl_pdf(x, ErlParams(p.a, 1.0, *p.values()[2:])), ref, ref > 1e-300)
         assert checked > 2000
 
     def test_rld_moments_are_weibull_moments(self):
@@ -569,11 +608,11 @@ class TestBetaWeibullOracle:
         for _ in range(20):
             lam = math.exp(rng.uniform(-1.0, 1.5))
             theta, beta = np.exp(rng.uniform(-2.0, 2.0, 2))
-            base = BaselineParams(float(theta), lam, float(beta))
+            rld = ErlParams(1.0, 1.0, theta, lam, beta)
             law = weibull_min(2.0 * lam, loc=-theta, scale=theta * (2.0 / beta) ** (1.0 / (2.0 * lam)))
             sd = law.std()
             for r in range(1, 5):
                 ref = law.moment(r)
                 tol = 1e-9 * max(abs(ref), sd**r)
-                assert abs(erl_raw_moment(r, ErlParams(1.0, 1.0, base)) - ref) <= tol, (r, base)
-                assert abs(baseline_moment_series(r, base) - ref) <= tol, (r, base)
+                assert abs(erl_raw_moment(r, rld) - ref) <= tol, (r, rld)
+                assert abs(baseline_moment_series(r, rld) - ref) <= tol, (r, rld)

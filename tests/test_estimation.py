@@ -13,7 +13,7 @@ import pytest
 from scipy import optimize
 
 from erlfit import estimation
-from erlfit.baseline import BaselineParams, _log_transform
+from erlfit.baseline import _log_transform
 from erlfit.cli import _fit_models, run_compare
 from erlfit.core import ErlParams, _log_density, erl_sample
 from erlfit.datasets import load_synthetic
@@ -33,9 +33,9 @@ from erlfit.estimation import (
 )
 from erlfit.submodels import DEFAULT_COMPARE, MODELS, PARAM_NAMES, get_model
 
-EXP_BASE = BaselineParams(1.0, 0.5, 2.0)
-EXP_POINT = ErlParams(1.0, 1.0, EXP_BASE)
-RECOVERY_POINT = ErlParams(2.0, 1.5, BaselineParams(1.0, 1.0, 1.0))
+EXP_BASE = (1.0, 0.5, 2.0)
+EXP_POINT = ErlParams(1.0, 1.0, *EXP_BASE)
+RECOVERY_POINT = ErlParams(2.0, 1.5, 1.0, 1.0, 1.0)
 FREE_COUNTS = {
     "ERLD": 5, "LRLD": 4, "ExpRLD": 4, "BLD": 4, "BRD": 4, "RLD": 3, "ExpLD": 3, "Rayleigh": 1,
 }
@@ -409,7 +409,7 @@ class TestScore:
         rng = np.random.default_rng(3)
         x = rng.uniform(-0.4, 3.0, size=30)
         a, b = 1.7, 0.6
-        p = ErlParams(a, b, EXP_BASE)
+        p = ErlParams(a, b, *EXP_BASE)
         sa, sb = score_ab(p, Dataset(x))
         big_k = -np.expm1(-(x + 1.0))
         n = x.size
@@ -425,18 +425,18 @@ class TestScore:
         for _ in range(25):
             a = float(np.exp(rng.uniform(np.log(0.3), np.log(8.0))))
             b = float(np.exp(rng.uniform(np.log(0.3), np.log(8.0))))
-            base = BaselineParams(
+            base = (
                 float(np.exp(rng.uniform(np.log(0.3), np.log(3.0)))),
                 float(np.exp(rng.uniform(np.log(0.4), np.log(2.5)))),
                 float(np.exp(rng.uniform(np.log(0.3), np.log(3.0)))),
             )
-            p = ErlParams(a, b, base)
+            p = ErlParams(a, b, *base)
             data = Dataset(erl_sample(30, p, seed=int(rng.integers(1 << 31))))
             sa, sb = score_ab(p, data)
             h = 1e-6 * max(1.0, a)
-            fd_a = -(nll(ErlParams(a + h, b, base), data) - nll(ErlParams(a - h, b, base), data)) / (2 * h)
+            fd_a = -(nll(ErlParams(a + h, b, *base), data) - nll(ErlParams(a - h, b, *base), data)) / (2 * h)
             h = 1e-6 * max(1.0, b)
-            fd_b = -(nll(ErlParams(a, b + h, base), data) - nll(ErlParams(a, b - h, base), data)) / (2 * h)
+            fd_b = -(nll(ErlParams(a, b + h, *base), data) - nll(ErlParams(a, b - h, *base), data)) / (2 * h)
             assert abs(sa - fd_a) <= 1e-5 * max(1.0, abs(sa))
             assert abs(sb - fd_b) <= 1e-5 * max(1.0, abs(sb))
 
@@ -464,7 +464,7 @@ class TestFit:
         fit = fit_mle(get_model("RLD"), data, FitConfig(starts=6, seed=0))
         assert fit.converged
         assert fit.nll <= nll(EXP_POINT, data) + 1e-3
-        assert float(data.values[0]) > -fit.params.base.theta
+        assert float(data.values[0]) > -fit.params.theta
 
     def test_nested_model_never_beats_full_family(self):
         data = Dataset(erl_sample(2000, EXP_POINT, seed=99))
@@ -592,7 +592,7 @@ class TestLevels:
             final = polish if polish.fun < best.fun else best
             row = values_at(final.x[None, :], np.zeros(1, dtype=np.intp))[0]
             fit = FitResult(
-                spec=spec, params=ErlParams.from_values(*row.tolist()), nll=float(final.fun),
+                spec=spec, params=ErlParams(*row.tolist()), nll=float(final.fun),
                 n=data.n, k=k, converged=bool(final.success),
             )
             oracle.append(standard_errors(fit, data) if fit.converged else fit)
@@ -678,7 +678,7 @@ class TestStandardErrors:
     def test_against_mpmath_hessian(self, name):
         # interior optima; the reference inverts the Hessian of the nll
         # that mpmath differentiates at 30 digits
-        law = ErlParams(1.0, 1.0, BaselineParams(1.2, 1.4, 0.8))
+        law = ErlParams(1.0, 1.0, 1.2, 1.4, 0.8)
         data = Dataset(erl_sample(100, law, seed=42))
         spec = get_model(name)
         fit = standard_errors(fit_mle(spec, data, FitConfig(starts=6, seed=0)), data)

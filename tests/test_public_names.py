@@ -46,7 +46,7 @@ def test_all_is_sorted_unique_and_resolves():
         assert hasattr(erlfit, name), name
 
 
-_LAW = erlfit.ErlParams.from_values(2.0, 3.0, 1.0, 1.0, 1.0)
+_LAW = erlfit.ErlParams(2.0, 3.0, 1.0, 1.0, 1.0)
 
 # each public elementwise function as a function of one argument
 ELEMENTWISE = {
@@ -56,7 +56,7 @@ ELEMENTWISE = {
     "erl_hazard": lambda x: erlfit.erl_hazard(x, _LAW),
     "erl_reversed_hazard": lambda x: erlfit.erl_reversed_hazard(x, _LAW),
     "erl_quantile": lambda x: erlfit.erl_quantile(x, _LAW),
-    "baseline_quantile": lambda x: erlfit.baseline_quantile(x, _LAW.base),
+    "baseline_quantile": lambda x: erlfit.baseline_quantile(x, _LAW),
     "log_gamma": erlfit.log_gamma,
     "log_beta": lambda x: erlfit.log_beta(x, 2.0),
     "reg_inc_beta": lambda x: erlfit.reg_inc_beta(x, 2.0, 3.0),

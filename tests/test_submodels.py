@@ -3,7 +3,6 @@
 import pytest
 
 from erlfit.core import ErlParams, normalization_check
-from erlfit.baseline import BaselineParams
 from erlfit.submodels import (
     DEFAULT_COMPARE,
     MODELS,
@@ -85,9 +84,9 @@ class TestModelSpec:
 
     def test_admits(self):
         rld = get_model("RLD")
-        assert rld.admits(ErlParams(1.0, 1.0, BaselineParams(2.0, 0.7, 1.3)))
-        assert not rld.admits(ErlParams(1.1, 1.0, BaselineParams(2.0, 0.7, 1.3)))
-        assert get_model("ERLD").admits(ErlParams(9.0, 0.1, BaselineParams(1.0, 1.0, 1.0)))
+        assert rld.admits(ErlParams(1.0, 1.0, 2.0, 0.7, 1.3))
+        assert not rld.admits(ErlParams(1.1, 1.0, 2.0, 0.7, 1.3))
+        assert get_model("ERLD").admits(ErlParams(9.0, 0.1, 1.0, 1.0, 1.0))
 
     def test_rejects_bad_fixed_entries(self):
         with pytest.raises(ValueError):
