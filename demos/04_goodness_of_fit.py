@@ -12,23 +12,15 @@ Run: python3 demos/04_goodness_of_fit.py
 
 from erlfit.core import ErlParams, erl_cdf
 from erlfit.datasets import SYNTHETIC_PARAMS, load_synthetic
-from erlfit.gof import (
-    ad_stat,
-    cvm_stat,
-    ks_pvalue,
-    ks_stat,
-    sample_kurtosis,
-    sample_skewness,
-)
+from erlfit.gof import gof_report, sample_kurtosis, sample_skewness
 
 
 def report(label, data, params):
-    cdf = lambda x: erl_cdf(x, params)  # noqa: E731
-    ks = ks_stat(data, cdf)
+    rep = gof_report(data, lambda x: erl_cdf(x, params))
     print(f"{label}")
-    print(f"    KS  = {ks:.4f}   (p = {ks_pvalue(ks, data.n):.4f})")
-    print(f"    CvM = {cvm_stat(data, cdf):.4f}")
-    print(f"    AD  = {ad_stat(data, cdf):.4f}")
+    print(f"    KS  = {rep.ks:.4f}   (p = {rep.ks_pvalue:.4f})")
+    print(f"    CvM = {rep.cvm:.4f}")
+    print(f"    AD  = {rep.ad:.4f}")
     print()
 
 

@@ -36,12 +36,9 @@ from .estimation import (
 from .gof import (
     CriteriaReport,
     GofReport,
-    ad_stat,
-    cvm_stat,
     gof_report,
     info_criteria,
     ks_pvalue,
-    ks_stat,
     sample_kurtosis,
     sample_skewness,
 )
@@ -62,10 +59,8 @@ __all__ = [
     "MODELS",
     "ModelSpec",
     "NumericalError",
-    "ad_stat",
     "baseline_moment_series",
     "baseline_quantile",
-    "cvm_stat",
     "erl_cdf",
     "erl_central_moments",
     "erl_cv",
@@ -84,7 +79,6 @@ __all__ = [
     "info_criteria",
     "inv_reg_inc_beta",
     "ks_pvalue",
-    "ks_stat",
     "log_beta",
     "log_gamma",
     "nll",

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NumericalError
-from .specfun import _result, log_gamma
+from .specfun import _integer, _result, log_gamma
 
 if TYPE_CHECKING:
     from .core import ErlParams
@@ -125,19 +125,18 @@ def baseline_moment_series(r: int, p: ErlParams) -> float:
 
     Raises NumericalError where a term or the sum leaves the doubles.
     """
-    if not isinstance(r, (int, np.integer)) or r < 0:
-        raise ValueError("moment order r must be a nonnegative integer")
+    r = _integer(r, 0, "moment order r must be a nonnegative integer")
     if r == 0:
         return 1.0
     total = 0.0
     try:
-        for h in range(int(r) + 1):
+        for h in range(r + 1):
             g = math.exp(log_gamma(h / (2.0 * p.lam) + 1.0))
             total += (
-                math.comb(int(r), h)
+                math.comb(r, h)
                 * p.theta**h
                 * (2.0 / p.beta) ** (h / (2.0 * p.lam))
-                * (-p.theta) ** (int(r) - h)
+                * (-p.theta) ** (r - h)
                 * g
             )
     except OverflowError:  # from math.exp and float **; a product gives inf

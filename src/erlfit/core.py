@@ -54,12 +54,23 @@ from .baseline import (
     _v_at,
 )
 from .errors import NumericalError
-from .specfun import _log_beta, _on_blocks, _result, inv_reg_inc_beta, reg_inc_beta
+from .specfun import _integer, _log_beta, _on_blocks, _result, inv_reg_inc_beta, reg_inc_beta
 
 # a double holds neither 1 - K = e^-T above T = _DEEP_T nor K below T = _TINY_T
 _DEEP_T, _TINY_T = 700.0, 1e-300
 # betainc loses I_K(a, b) once a ln K falls below _FAR_LOG_POWER (see _far_t)
 _FAR_LOG_POWER = -700.0
+
+
+def _positive(value, what: str) -> float:
+    """value as a float if it is a finite positive real, else ValueError:
+    the rule for every parameter value of the family."""
+    # bool is an Integral, and so a Real, but never a parameter
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Real) and math.isfinite(value) and value > 0
+    ):
+        raise ValueError(f"{what} must be a finite positive number")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -76,13 +87,8 @@ class ErlParams:
 
     def __post_init__(self):
         for field in fields(self):
-            value = getattr(self, field.name)
-            # bool is an Integral, and so a Real, but never a parameter
-            if isinstance(value, bool) or not (
-                isinstance(value, numbers.Real) and math.isfinite(value) and value > 0
-            ):
-                raise ValueError(f"ErlParams.{field.name} must be a finite positive number")
-            object.__setattr__(self, field.name, float(value))
+            value = _positive(getattr(self, field.name), f"ErlParams.{field.name}")
+            object.__setattr__(self, field.name, value)
 
     def values(self) -> tuple[float, float, float, float, float]:
         """(a, b, theta, lam, beta)."""
@@ -260,9 +266,8 @@ def erl_quantile(prob, p: ErlParams):
 
 def erl_sample(n: int, p: ErlParams, seed) -> np.ndarray:
     """n draws by the double inverse transform, deterministic per seed."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError("sample size n must be a positive integer")
-    return erl_quantile(np.random.default_rng(seed).random(int(n)), p)
+    n = _integer(n, 1, "sample size n must be a positive integer")
+    return erl_quantile(np.random.default_rng(seed).random(n), p)
 
 
 def erl_raw_moment(r: int, p: ErlParams) -> float:
@@ -276,9 +281,7 @@ def erl_raw_moment(r: int, p: ErlParams) -> float:
     underflowed or missed the mass.  An odd moment has no such sign
     check, so one that comes out 0 or of the wrong sign passes.
     """
-    if not isinstance(r, (int, np.integer)) or r < 0:
-        raise ValueError("moment order r must be a nonnegative integer")
-    r = int(r)
+    r = _integer(r, 0, "moment order r must be a nonnegative integer")
     if r == 0:
         return 1.0
     a, b, theta, lam, beta = p.values()

@@ -70,7 +70,7 @@ from .baseline import _log_transform
 from .core import ErlParams
 from .errors import InputError
 from .neldermead import _nelder_mead, _pad
-from .specfun import _log_beta
+from .specfun import _integer, _log_beta
 from .submodels import PARAM_NAMES, ModelSpec
 
 _BOUND_EPS = 1e-9
@@ -83,6 +83,7 @@ _CHUNK_DOUBLES = 16384
 _Z_BOUND = 30.0
 _MAX_ITERS = 2000
 _FATOL = 1e-8
+_THETA = PARAM_NAMES.index("theta")
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,10 +114,8 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.starts < 1:
-            raise ValueError("FitConfig requires starts >= 1")
-        if self.seed < 0:
-            raise ValueError("FitConfig requires seed >= 0")
+        _integer(self.starts, 1, "FitConfig requires starts >= 1")
+        _integer(self.seed, 0, "FitConfig requires seed >= 0")
 
 
 @dataclass(frozen=True)
@@ -202,28 +201,25 @@ def _theta_shift(data: Dataset) -> float:
 
 
 def _objective(specs: Sequence[ModelSpec], data: Dataset):
-    """(free, values_at, objective) of the search of specs over data.
+    """(start_at, values_at, objective) of the search of specs over data.
 
     Free parameter i of spec s sits at values[slot] = offset + exp(z_i),
-    with free[s][i] = (slot, offset); the offset is the theta shift for
-    theta and 0 for the other four.  values_at(z, models) maps rows of z,
-    shape (m, w), to rows (a, b, theta, lam, beta), row r through the map
-    of specs[models[r]], which reads the first k of the w columns (the
-    specs may differ in k; the columns past a row's k are padding, which
-    it does not read); objective(z, models) maps them to nll, all rows in
-    one kernel call.
+    slot = s.slots[i]; the offset is the theta shift for theta and 0 for
+    the other four.  values_at(z, models) maps rows of z, shape (m, w), to
+    rows (a, b, theta, lam, beta), row r through the map of
+    specs[models[r]], which reads the first k of the w columns (the specs
+    may differ in k; the columns past a row's k are padding, which it does
+    not read); objective(z, models) maps them to nll, all rows in one
+    kernel call.  start_at(model, params) is the inverse of that map for
+    specs[model]: the z at params, or None where params break one of its
+    fixed values or put a free value at or below its offset.
     """
     shift = _theta_shift(data)
     # base holds each spec's fixed values and, at its free slots, their
     # offsets, so that adding exp(z_i) at free slot i gives offset_i + exp(z_i)
-    base = np.array([[spec.fixed_map.get(name, 0.0) for name in PARAM_NAMES] for spec in specs])
-    is_free = np.array([[name in spec.free_names for name in PARAM_NAMES] for spec in specs])
-    theta = PARAM_NAMES.index("theta")
-    base[is_free[:, theta], theta] = shift
-    free = [
-        list(zip(np.flatnonzero(mask).tolist(), row[mask].tolist()))
-        for row, mask in zip(base, is_free)
-    ]
+    base = np.array([spec.row for spec in specs])
+    is_free = np.array([[slot in spec.slots for slot in range(len(PARAM_NAMES))] for spec in specs])
+    base[is_free[:, _THETA], _THETA] = shift
     counts = np.array([spec.free_count for spec in specs])
     x = data.values
 
@@ -244,7 +240,14 @@ def _objective(specs: Sequence[ModelSpec], data: Dataset):
             out[inside] = _nll(values_at(z[inside], models[inside]), x)
         return out
 
-    return free, values_at, objective
+    def start_at(model: int, params: ErlParams) -> Optional[np.ndarray]:
+        spec, offsets, full = specs[model], base[model].tolist(), params.values()
+        gaps = [full[slot] - offsets[slot] for slot in spec.slots]
+        if spec.admits(params) and all(gap > 0.0 for gap in gaps):
+            return np.array([math.log(gap) for gap in gaps])
+        return None
+
+    return start_at, values_at, objective
 
 
 def fit_ladder(specs: Sequence[ModelSpec], data: Dataset, cfg: FitConfig) -> list[FitResult]:
@@ -282,21 +285,13 @@ def fit_ladder(specs: Sequence[ModelSpec], data: Dataset, cfg: FitConfig) -> lis
     span = float(data.values[-1] - data.values[0])
     if span <= 0.0:
         span = max(1.0, abs(float(data.values[0])))
-    free, values_at, objective = _objective(specs, data)
+    start_at, values_at, objective = _objective(specs, data)
     # the widest spec's k, even while none of its own starts has joined
     width = max(spec.free_count for spec in specs)
     draws = {}
     for k in {spec.free_count for spec in specs}:
         rng = np.random.default_rng(cfg.seed)
         draws[k] = [rng.uniform(math.log(1e-2), math.log(1e2), size=k) for _ in range(cfg.starts - 1)]
-
-    def warm(model: int, params: ErlParams) -> Optional[np.ndarray]:
-        # the start of specs[model] at params, or None if it does not admit them
-        full = params.values()
-        offsets = [full[slot] - offset for slot, offset in free[model]]
-        if specs[model].admits(params) and all(o > 0.0 for o in offsets):
-            return np.array([math.log(o) for o in offsets])
-        return None
 
     # runs[s] holds spec s's starts in reduction order, then its polish:
     # None while a start runs or its point does not exist yet, False once
@@ -309,7 +304,7 @@ def fit_ladder(specs: Sequence[ModelSpec], data: Dataset, cfg: FitConfig) -> lis
     candidates = []
     runs: list[list] = []
     for model, spec in enumerate(specs):
-        heuristic = [math.log(span) if name == "theta" else 0.0 for name in spec.free_names]
+        heuristic = [math.log(span) if slot == _THETA else 0.0 for slot in spec.slots]
         points = [np.array(heuristic), *draws[spec.free_count]]
         candidates += [(model, entry, z) for entry, z in enumerate(points)]
         runs.append([None] * (len(points) + len(lower[model]) + 1))
@@ -376,7 +371,7 @@ def fit_ladder(specs: Sequence[ModelSpec], data: Dataset, cfg: FitConfig) -> lis
                 )
                 for other, sources in enumerate(lower):
                     if model in sources:
-                        z = warm(other, fits[model].params)
+                        z = start_at(other, fits[model].params)
                         entry = len(runs[other]) - 1 - len(sources) + sources.index(model)
                         if z is None:
                             runs[other][entry] = False
@@ -440,9 +435,8 @@ def standard_errors(fit: FitResult, data: Dataset) -> FitResult:
         [free[None, :], free + unit, free - unit]
         + [free + si * unit[i] + sj * unit[j] for si, sj in corners]
     )
-    fixed = [float(spec.fixed_map.get(name, 0.0)) for name in PARAM_NAMES]
-    rows = np.tile(fixed, (len(points), 1))
-    rows[:, [PARAM_NAMES.index(name) for name in spec.free_names]] = points
+    rows = np.tile(spec.row, (len(points), 1))
+    rows[:, list(spec.slots)] = points
     valid = np.all(np.isfinite(points) & (points > 0.0), axis=1)
     vals = np.full(len(points), math.inf)
     vals[valid] = _nll(rows[valid], data.values)

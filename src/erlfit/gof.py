@@ -80,33 +80,13 @@ def _cvm(z: np.ndarray) -> float:
 def _ad(z: np.ndarray) -> float:
     clipped = np.clip(z, _AD_CLAMP_LO, _AD_CLAMP_HI)
     if np.any(clipped != z):
-        message = "ad_stat: fitted cdf hit 0 or 1 at observed points; probabilities clamped"
-        warnings.warn(message, RuntimeWarning, stacklevel=3)  # the caller of ad_stat or gof_report
+        message = "gof_report: fitted cdf hit 0 or 1 at observed points; probabilities clamped"
+        warnings.warn(message, RuntimeWarning, stacklevel=3)  # the caller of gof_report
     n = z.size
     i = np.arange(1, n + 1)
     return float(
         -n - np.sum((2.0 * i - 1.0) * (np.log(clipped) + np.log1p(-clipped[::-1]))) / n
     )
-
-
-def ks_stat(data: Dataset, cdf: Callable) -> float:
-    """Kolmogorov-Smirnov D = sup |F_n - F| over the sorted sample."""
-    return _ks(_fitted_probs(data, cdf))
-
-
-def cvm_stat(data: Dataset, cdf: Callable) -> float:
-    """Cramer-von Mises W^2 = 1/(12n) + sum (F(x_(i)) - (2i-1)/(2n))^2."""
-    return _cvm(_fitted_probs(data, cdf))
-
-
-def ad_stat(data: Dataset, cdf: Callable) -> float:
-    """Anderson-Darling A^2 with probability clamping.
-
-    Fitted probabilities are clamped to [1e-300, 1 - 1e-16] before the
-    logs; clamping any point emits a RuntimeWarning because it means the
-    fitted law thinks an observed point is (numerically) impossible.
-    """
-    return _ad(_fitted_probs(data, cdf))
 
 
 def ks_pvalue(d: float, n: int) -> float:
@@ -132,7 +112,12 @@ class GofReport:
 
 
 def gof_report(data: Dataset, cdf: Callable) -> GofReport:
-    """KS, its p-value, CvM and AD from one evaluation of cdf at the data."""
+    """KS, its p-value, CvM and AD from one evaluation of cdf at the data.
+
+    KS is D = sup |F_n - F|, CvM W^2 = 1/(12n) + sum (F(x_(i)) - (2i-1)/(2n))^2
+    and AD A^2 with F clamped to [1e-300, 1 - 1e-16] before the logs; a clamp
+    warns (RuntimeWarning), as the law then holds an observed point impossible.
+    """
     z = _fitted_probs(data, cdf)
     d = _ks(z)
     return GofReport(n=data.n, ks=d, ks_pvalue=ks_pvalue(d, data.n), cvm=_cvm(z), ad=_ad(z))

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import numbers
 import os
 
 import numpy as np
@@ -95,6 +96,14 @@ def _result(out):
     where out is 0-d, else out.  out takes the broadcast shape of the
     inputs, so it is 0-d exactly when every input was a scalar."""
     return float(out) if np.ndim(out) == 0 else out
+
+
+def _integer(value, least: int, message: str) -> int:
+    """value as an int if it is a numbers.Integral other than a bool and
+    at least least, else ValueError(message): the rule for every count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(message)
+    return int(value)
 
 
 def log_gamma(x):

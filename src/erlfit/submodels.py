@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import ErlParams
+from .core import ErlParams, _positive
 
 PARAM_NAMES = ("a", "b", "theta", "lam", "beta")
 
@@ -19,30 +19,36 @@ PARAM_LABELS = {"a": "a", "b": "b", "theta": "theta", "lam": "lambda", "beta": "
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A named constraint set over the five parameters."""
+    """A named constraint set over the five parameters, each fixed once under ErlParams'
+    rule; row holds them in PARAM_NAMES order (0.0 where free), slots the free slots."""
 
     name: str
     fixed: tuple[tuple[str, float], ...] = field(default=())
+    row: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    slots: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        row: list = [None] * len(PARAM_NAMES)
+        fixed = []
         for key, value in self.fixed:
             if key not in PARAM_NAMES:
                 raise ValueError(f"unknown parameter {key!r} in ModelSpec {self.name!r}")
-            if not value > 0:
-                raise ValueError(f"fixed value for {key!r} must be positive")
-
-    @property
-    def fixed_map(self) -> dict[str, float]:
-        return dict(self.fixed)
+            slot = PARAM_NAMES.index(key)
+            if row[slot] is not None:
+                raise ValueError(f"parameter {key!r} fixed twice in ModelSpec {self.name!r}")
+            row[slot] = _positive(value, f"fixed {key!r} in ModelSpec {self.name!r}")
+            fixed.append((key, row[slot]))
+        object.__setattr__(self, "fixed", tuple(fixed))
+        object.__setattr__(self, "slots", tuple(s for s, value in enumerate(row) if value is None))
+        object.__setattr__(self, "row", tuple(0.0 if value is None else value for value in row))
 
     @property
     def free_names(self) -> tuple[str, ...]:
-        fixed = self.fixed_map
-        return tuple(name for name in PARAM_NAMES if name not in fixed)
+        return tuple(PARAM_NAMES[slot] for slot in self.slots)
 
     @property
     def free_count(self) -> int:
-        return 5 - len(self.fixed)
+        return len(self.slots)
 
     def embed(self, free_values) -> ErlParams:
         """Assemble full ErlParams from values for the free parameters.
@@ -55,23 +61,22 @@ class ModelSpec:
             raise ValueError(
                 f"{self.name} expects {self.free_count} free values, got {len(free_values)}"
             )
-        full = self.fixed_map
-        for name, value in zip(self.free_names, free_values):
-            full[name] = value
-        return ErlParams(**full)
+        full = list(self.row)
+        for slot, value in zip(self.slots, free_values):
+            full[slot] = value
+        return ErlParams(*full)
 
     def extract(self, params: ErlParams) -> tuple[float, ...]:
         """Free-parameter values of `params` in registry order."""
-        full = dict(zip(PARAM_NAMES, params.values()))
-        return tuple(full[name] for name in self.free_names)
+        return tuple(params.values()[slot] for slot in self.slots)
 
     def admits(self, params: ErlParams) -> bool:
         """True if `params` satisfies this spec's fixed constraints, each
         to 1e-9 relative."""
-        full = dict(zip(PARAM_NAMES, params.values()))
         return all(
-            abs(full[name] - value) <= 1e-9 * max(1.0, abs(value))
-            for name, value in self.fixed
+            abs(have - value) <= 1e-9 * max(1.0, abs(value))
+            for slot, (have, value) in enumerate(zip(params.values(), self.row))
+            if slot not in self.slots
         )
 
 

@@ -33,7 +33,7 @@ from erlfit.core import (
 )
 from erlfit.datasets import SYNTHETIC_PARAMS, synthetic_path
 from erlfit.estimation import Dataset, FitConfig, fit_mle, nll, score_ab
-from erlfit.gof import ad_stat, cvm_stat, info_criteria, ks_stat
+from erlfit.gof import gof_report, info_criteria
 from erlfit.submodels import DEFAULT_COMPARE, get_model
 
 # ---------------------------------------------------------------------
@@ -302,17 +302,17 @@ def _oracle_ad(z):
 
 
 def test_criterion_08_edf_statistics():
-    single = Dataset(np.array([0.5]))
-    assert ks_stat(single, _UNIT_CDF) == pytest.approx(0.5, abs=1e-10)
-    assert cvm_stat(single, _UNIT_CDF) == pytest.approx(1.0 / 12.0, abs=1e-10)
-    assert ad_stat(single, _UNIT_CDF) == pytest.approx(-1.0 + 2.0 * math.log(2.0), abs=1e-10)
+    single = gof_report(Dataset(np.array([0.5])), _UNIT_CDF)
+    assert single.ks == pytest.approx(0.5, abs=1e-10)
+    assert single.cvm == pytest.approx(1.0 / 12.0, abs=1e-10)
+    assert single.ad == pytest.approx(-1.0 + 2.0 * math.log(2.0), abs=1e-10)
     for n in (1, 5, 50):
         rng = np.random.default_rng(900 + n)
         z = rng.uniform(0.02, 0.98, size=n)
-        data = Dataset(z)
-        assert ks_stat(data, _UNIT_CDF) == pytest.approx(_oracle_ks(z), abs=1e-6)
-        assert cvm_stat(data, _UNIT_CDF) == pytest.approx(_oracle_cvm(z), abs=1e-6)
-        assert ad_stat(data, _UNIT_CDF) == pytest.approx(_oracle_ad(z), abs=1e-6)
+        rep = gof_report(Dataset(z), _UNIT_CDF)
+        assert rep.ks == pytest.approx(_oracle_ks(z), abs=1e-6)
+        assert rep.cvm == pytest.approx(_oracle_cvm(z), abs=1e-6)
+        assert rep.ad == pytest.approx(_oracle_ad(z), abs=1e-6)
 
 
 def test_criterion_09_sampling_ks():

@@ -205,6 +205,37 @@ class TestRowsKernel:
         assert out[1] == math.inf and out[2] == math.inf
         assert np.isfinite(out[3])
 
+    @pytest.mark.parametrize("moved", [False, True], ids=["shift", "no_shift"])
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_start_at_inverts_values_at(self, name, moved):
+        # the bundled data dips below 0, so theta is searched above a
+        # shift; moved to x - x_(1) + 1 it does not, and the shift is 0
+        data = load_synthetic()
+        if moved:
+            data = Dataset(data.values - data.values[0] + 1.0)
+        specs = [MODELS[key] for key in sorted(MODELS)]
+        model = sorted(MODELS).index(name)
+        spec = specs[model]
+        start_at, values_at, _ = _objective(specs, data)
+        shift = estimation._theta_shift(data)
+        assert (shift == 0.0) == moved
+        z = np.random.default_rng(7).uniform(math.log(1e-2), math.log(1e2), (50, spec.free_count))
+        rows = values_at(z, np.full(len(z), model))
+        for point, row in zip(z, rows):
+            back = start_at(model, ErlParams(*row.tolist()))
+            assert back is not None and np.allclose(back, point, rtol=0.0, atol=1e-12)
+        # a fixed value broken, or theta at or below the shift
+        full = rows[0].tolist()
+        for slot, value in enumerate(spec.row):
+            if slot not in spec.slots:
+                broken = list(full)
+                broken[slot] = 2.0 * value
+                assert start_at(model, ErlParams(*broken)) is None
+        if "theta" in spec.free_names and shift > 0.0:
+            for theta in (shift, 0.5 * shift):
+                full[PARAM_NAMES.index("theta")] = theta
+                assert start_at(model, ErlParams(*full)) is None
+
     def test_public_nll_is_one_row(self):
         data = Dataset(erl_sample(50, RECOVERY_POINT, seed=5))
         row = np.array([RECOVERY_POINT.values()])
@@ -244,7 +275,7 @@ class TestNelderMead:
     def test_mixed_models_match_scipy(self, max_iters):
         # one run holds starts of two models with four free parameters;
         # each start must take the steps of a scipy run on its own model
-        _free, _values_at, objective = _objective(
+        _start_at, _values_at, objective = _objective(
             [get_model("BRD"), get_model("ExpRLD")], load_synthetic()
         )
         z0 = np.random.default_rng(1).uniform(math.log(1e-2), math.log(1e2), (4, 4))
@@ -273,7 +304,7 @@ class TestNelderMead:
         # next one, so starts join at different iterations, the 5-parameter
         # ones after narrower starts
         specs = [get_model(name) for name in ("RLD", "BRD", "ERLD")]
-        _free, _values_at, objective = _objective(specs, load_synthetic())
+        _start_at, _values_at, objective = _objective(specs, load_synthetic())
         rng = np.random.default_rng(2)
         models = [0, 1, 2, 0, 1, 2]
         points = [rng.uniform(math.log(1e-2), math.log(1e2), specs[m].free_count) for m in models]
@@ -501,7 +532,7 @@ class TestFit:
         # strictly lower
         data = load_synthetic()
         spec = get_model(name)
-        _free, values_at, objective = _objective([spec], data)
+        _start_at, values_at, objective = _objective([spec], data)
         f = one_model(objective)
         span = float(data.values[-1] - data.values[0])
         rng = np.random.default_rng(0)
@@ -570,15 +601,13 @@ class TestLevels:
         oracle: list[FitResult] = []
         for spec in specs:
             k = spec.free_count
-            ((free,), values_at, objective) = _objective([spec], data)
+            start_at, values_at, objective = _objective([spec], data)
             f = one_model(objective)
             rng = np.random.default_rng(cfg.seed)
             starts = [np.array([math.log(span) if p == "theta" else 0.0 for p in spec.free_names])]
             starts += [rng.uniform(math.log(1e-2), math.log(1e2), k) for _ in range(cfg.starts - 1)]
-            for lower in oracle:
-                offsets = [lower.params.values()[slot] - offset for slot, offset in free]
-                if lower.k < k and spec.admits(lower.params) and min(offsets) > 0.0:
-                    starts.append(np.array([math.log(o) for o in offsets]))
+            warm = [start_at(0, lower.params) for lower in oracle if lower.k < k]
+            starts += [z for z in warm if z is not None]
 
             def scipy_run(z0):
                 with np.errstate(invalid="ignore"):
@@ -686,7 +715,7 @@ class TestStandardErrors:
             x = [mp.mpf(v) for v in data.values.tolist()]
 
             def mp_nll(*free):
-                full = dict(spec.fixed_map, **dict(zip(spec.free_names, free)))
+                full = dict(spec.fixed, **dict(zip(spec.free_names, free)))
                 a, b, theta, lam, beta = (mp.mpf(full[p]) for p in PARAM_NAMES)
                 total = -len(x) * (mp.log(beta * lam / theta) - mp.log(mp.beta(a, b)))
                 for xi in x:

@@ -15,12 +15,9 @@ import pytest
 
 from erlfit.estimation import Dataset
 from erlfit.gof import (
-    ad_stat,
-    cvm_stat,
     gof_report,
     info_criteria,
     ks_pvalue,
-    ks_stat,
     sample_kurtosis,
     sample_skewness,
 )
@@ -116,34 +113,34 @@ class TestSampleShape:
 
 class TestEdfStatistics:
     def test_single_point_hand_values(self):
-        d = Dataset(np.array([0.5]))
-        assert ks_stat(d, UNIT_CDF) == pytest.approx(0.5, abs=1e-10)
-        assert cvm_stat(d, UNIT_CDF) == pytest.approx(1.0 / 12.0, abs=1e-10)
-        assert ad_stat(d, UNIT_CDF) == pytest.approx(-1.0 + 2.0 * math.log(2.0), abs=1e-10)
+        rep = gof_report(Dataset(np.array([0.5])), UNIT_CDF)
+        assert rep.ks == pytest.approx(0.5, abs=1e-10)
+        assert rep.cvm == pytest.approx(1.0 / 12.0, abs=1e-10)
+        assert rep.ad == pytest.approx(-1.0 + 2.0 * math.log(2.0), abs=1e-10)
 
     @pytest.mark.parametrize("n", [1, 5, 50])
     def test_against_segment_oracles(self, n):
         rng = np.random.default_rng(100 + n)
         z = rng.uniform(0.01, 0.99, size=n)
-        d = Dataset(z)
-        assert ks_stat(d, UNIT_CDF) == pytest.approx(edf_ks_oracle(z), abs=1e-6)
-        assert cvm_stat(d, UNIT_CDF) == pytest.approx(edf_cvm_oracle(z), abs=1e-6)
-        assert ad_stat(d, UNIT_CDF) == pytest.approx(edf_ad_oracle(z), abs=1e-6)
+        rep = gof_report(Dataset(z), UNIT_CDF)
+        assert rep.ks == pytest.approx(edf_ks_oracle(z), abs=1e-6)
+        assert rep.cvm == pytest.approx(edf_cvm_oracle(z), abs=1e-6)
+        assert rep.ad == pytest.approx(edf_ad_oracle(z), abs=1e-6)
 
     def test_order_invariance(self):
         rng = np.random.default_rng(31)
         z = rng.uniform(0.05, 0.95, size=20)
-        a = (ks_stat(Dataset(z), UNIT_CDF), cvm_stat(Dataset(z), UNIT_CDF))
-        b = (ks_stat(Dataset(z[::-1].copy()), UNIT_CDF), cvm_stat(Dataset(z[::-1].copy()), UNIT_CDF))
-        assert a == b
+        a = gof_report(Dataset(z), UNIT_CDF)
+        b = gof_report(Dataset(z[::-1].copy()), UNIT_CDF)
+        assert (a.ks, a.cvm) == (b.ks, b.cvm)
 
     def test_ks_bounds_and_cvm_floor(self):
         rng = np.random.default_rng(37)
         for n in (1, 3, 17):
             z = rng.uniform(0.0, 1.0, size=n)
-            d = Dataset(z)
-            assert 0.0 <= ks_stat(d, UNIT_CDF) <= 1.0
-            assert cvm_stat(d, UNIT_CDF) >= 1.0 / (12.0 * n) - 1e-15
+            rep = gof_report(Dataset(z), UNIT_CDF)
+            assert 0.0 <= rep.ks <= 1.0
+            assert rep.cvm >= 1.0 / (12.0 * n) - 1e-15
 
     def test_ad_clamps_degenerate_probabilities_with_warning(self):
         # a model that assigns probability 0/1 to observed points would
@@ -151,7 +148,7 @@ class TestEdfStatistics:
         # says so
         d = Dataset(np.array([100.0]))
         with pytest.warns(RuntimeWarning, match="clamped"):
-            val = ad_stat(d, UNIT_CDF)
+            val = gof_report(d, UNIT_CDF).ad
         assert math.isfinite(val)
 
 
@@ -220,7 +217,4 @@ class TestGofReport:
         d = Dataset(z)
         rep = gof_report(d, UNIT_CDF)
         assert rep.n == 30
-        assert rep.ks == ks_stat(d, UNIT_CDF)
-        assert rep.cvm == cvm_stat(d, UNIT_CDF)
-        assert rep.ad == ad_stat(d, UNIT_CDF)
         assert rep.ks_pvalue == ks_pvalue(rep.ks, 30)

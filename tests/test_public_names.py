@@ -1,5 +1,6 @@
-"""The names that the package and its traced benchmark promise, and the
-form of what its elementwise functions return.
+"""The names that the package and its traced benchmark promise, the
+form of what its elementwise functions return, and the rule for its
+integer arguments.
 
 `erlfit.__all__` is the public surface.  The traced benchmark run
 (`perfbench/run.py --trace 1`) looks up each `(module, attribute)` pair
@@ -73,3 +74,22 @@ def test_scalar_in_float_out_array_in_array_out(name):
         out = f(np.full(shape, 0.3))
         assert isinstance(out, np.ndarray)
         assert out.shape == shape
+
+
+_INTEGER_ARGUMENTS = {
+    "FitConfig.starts": lambda v: erlfit.FitConfig(starts=v),
+    "FitConfig.seed": lambda v: erlfit.FitConfig(seed=v),
+    "erl_sample": lambda v: erlfit.erl_sample(v, _LAW, 0),
+    "erl_raw_moment": lambda v: erlfit.erl_raw_moment(v, _LAW),
+    "baseline_moment_series": lambda v: erlfit.baseline_moment_series(v, _LAW),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, 1.5, 2.0, np.float64(2.0), "2"], ids=repr)
+@pytest.mark.parametrize("name", sorted(_INTEGER_ARGUMENTS))
+def test_integer_arguments_take_integers_only(name, value):
+    # a numbers.Integral that is not a bool; np.int64 is one
+    call = _INTEGER_ARGUMENTS[name]
+    call(np.int64(2))
+    with pytest.raises(ValueError):
+        call(value)

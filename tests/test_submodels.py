@@ -1,5 +1,8 @@
 """Tests for the named sub-model registry."""
 
+import math
+
+import numpy as np
 import pytest
 
 from erlfit.core import ErlParams, normalization_check
@@ -7,6 +10,7 @@ from erlfit.submodels import (
     DEFAULT_COMPARE,
     MODELS,
     PARAM_LABELS,
+    PARAM_NAMES,
     ModelSpec,
     get_model,
 )
@@ -29,7 +33,8 @@ class TestRegistry:
 
     @pytest.mark.parametrize("name, fixed", sorted(EXPECTED_CONSTRAINTS.items()))
     def test_constraints(self, name, fixed):
-        assert MODELS[name].fixed_map == fixed
+        assert dict(MODELS[name].fixed) == fixed
+        assert MODELS[name].row == tuple(fixed.get(p, 0.0) for p in PARAM_NAMES)
 
     @pytest.mark.parametrize(
         "name, k",
@@ -47,6 +52,7 @@ class TestRegistry:
     def test_free_counts(self, name, k):
         assert MODELS[name].free_count == k
         assert len(MODELS[name].free_names) == k
+        assert MODELS[name].free_names == tuple(PARAM_NAMES[slot] for slot in MODELS[name].slots)
 
     def test_default_compare_order(self):
         assert DEFAULT_COMPARE == ("ERLD", "ExpLD", "LRLD", "BRD", "RLD", "ExpRLD", "BLD")
@@ -93,6 +99,19 @@ class TestModelSpec:
             ModelSpec(name="bogus", fixed=(("gamma", 1.0),))
         with pytest.raises(ValueError):
             ModelSpec(name="bogus", fixed=(("a", -1.0),))
+
+    @pytest.mark.parametrize("key", PARAM_NAMES)
+    def test_fixed_values_follow_the_parameter_rule(self, key):
+        # the rule of ErlParams: a finite positive real that is not a bool,
+        # stored as a float; and a name is fixed at most once
+        for value in (math.inf, math.nan, 0, -1, True, "1"):
+            with pytest.raises(ValueError, match="finite positive"):
+                ModelSpec(name="bad", fixed=((key, value),))
+        with pytest.raises(ValueError, match="twice"):
+            ModelSpec(name="bad", fixed=((key, 1.0), (key, 2.0)))
+        spec = ModelSpec(name="ok", fixed=((key, np.float32(2)),))
+        assert dict(spec.fixed) == {key: 2.0} and type(dict(spec.fixed)[key]) is float
+        assert spec.embed([1.0] * 4).values() == tuple(2.0 if p == key else 1.0 for p in PARAM_NAMES)
 
     @pytest.mark.parametrize("name", sorted(EXPECTED_CONSTRAINTS))
     def test_embedded_density_normalizes(self, name):

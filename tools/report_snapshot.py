@@ -13,7 +13,7 @@ when their reports agree, so comparing two commits is one ``diff -rq``:
 The package is imported from this checkout's ``src``, whatever is
 installed.  The two n = 2000 fit inputs come from ``perfbench/inputs.py``,
 which draws with numpy and scipy only, so they do not depend on erlfit's
-own sampler.
+own sampler; the third input is the bundled sample moved to start at 1.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from erlfit.cli import main as erlfit_main  # noqa: E402
-from erlfit.datasets import SYNTHETIC_PARAMS, synthetic_path  # noqa: E402
+from erlfit.datasets import SYNTHETIC_PARAMS, load_synthetic, synthetic_path  # noqa: E402
 from perfbench.inputs import draw, write_values  # noqa: E402
 
 FIT_POINT = (2.0, 1.5, 1.0, 1.0, 1.0)
@@ -83,6 +83,12 @@ def runs(out: pathlib.Path) -> list[tuple[str, list[str]]]:
     # enough for at least two blocks of specfun._on_blocks on two CPUs
     overflow = ["sample", "--params", "1,1,1,0.001,1", "--n", "40000", "--seed", "1"]
     todo += [("sample_overflow.json", overflow), ("sample_overflow.csv", [*overflow, "--format", "csv"])]
+    # the bundled data dips below 0, so every fit above searches theta above
+    # a shift; moved to x - x_(1) + 1 it does not, and the shift is 0
+    moved = out / "input_bundled_moved.txt"
+    values = load_synthetic().values
+    write_values(moved, values - values[0] + 1.0)
+    todo.append(("compare_moved_seed0.json", ["compare", "--input", str(moved), "--seed", "0"]))
     return todo
 
 
