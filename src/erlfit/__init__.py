@@ -6,7 +6,7 @@ EDF goodness-of-fit statistics and information criteria, plus a batch
 CLI (`erlfit`) over all of it.
 """
 
-from .baseline import baseline_moment_series, baseline_quantile
+from .baseline import baseline_quantile
 from .core import (
     ErlParams,
     erl_cdf,
@@ -21,7 +21,6 @@ from .core import (
     erl_sample,
     erl_skewness,
     erl_survival,
-    normalization_check,
 )
 from .errors import InputError, NumericalError
 from .estimation import (
@@ -59,7 +58,6 @@ __all__ = [
     "MODELS",
     "ModelSpec",
     "NumericalError",
-    "baseline_moment_series",
     "baseline_quantile",
     "erl_cdf",
     "erl_central_moments",
@@ -82,7 +80,6 @@ __all__ = [
     "log_beta",
     "log_gamma",
     "nll",
-    "normalization_check",
     "reg_inc_beta",
     "sample_kurtosis",
     "sample_skewness",

@@ -31,8 +31,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import NumericalError
-from .specfun import _integer, _result, log_gamma
+from .specfun import _result
 
 if TYPE_CHECKING:
     from .core import ErlParams
@@ -83,23 +82,11 @@ def _log_exponent(log_v, lam, beta, out=None):
     return np.add(np.multiply(2.0 * lam, log_v, out=out), np.log(0.5 * beta), out=out)
 
 
-def _log_k_plus_t(log_v, theta, lam, beta):
-    """ln k + T at ln v > -inf: the log density without its -T term."""
-    with np.errstate(invalid="ignore"):
-        return math.log(beta * lam / theta) + (2.0 * lam - 1.0) * log_v
-
-
 def _v_at(t, lam, beta):
     """The inverse of the transform's T: v at which T takes the value t.
     Beyond the doubles (small lam) an array gives +inf, under the
     caller's np.errstate, and a Python float raises OverflowError."""
     return ((2.0 / beta) * t) ** (0.5 / lam)
-
-
-def _quantile_v(prob, p: ErlParams):
-    """v such that K(theta (v - 1)) = prob, for prob in [0, 1), with K
-    the baseline of p."""
-    return _v_at(-np.log1p(-np.asarray(prob, dtype=np.float64)), p.lam, p.beta)
 
 
 def baseline_quantile(prob, p: ErlParams):
@@ -113,35 +100,5 @@ def baseline_quantile(prob, p: ErlParams):
     if pa.size and (np.any(pa < 0.0) or np.any(pa > 1.0) or not np.all(np.isfinite(pa))):
         raise ValueError("baseline_quantile requires prob in [0, 1]")
     with np.errstate(divide="ignore", over="ignore"):
-        return _result(np.where(pa == 1.0, np.inf, p.theta * _quantile_v(pa, p) - p.theta))
-
-
-def baseline_moment_series(r: int, p: ErlParams) -> float:
-    """Closed-form r-th raw moment of the baseline K of p, the law at
-    a = b = 1 (p's a and b are not read), via the binomial/gamma series.
-
-    E[X^r] = sum_h C(r,h) theta^h (2/beta)^(h/(2 lam)) (-theta)^(r-h)
-             * Gamma(h/(2 lam) + 1)
-
-    Raises NumericalError where a term or the sum leaves the doubles.
-    """
-    r = _integer(r, 0, "moment order r must be a nonnegative integer")
-    if r == 0:
-        return 1.0
-    total = 0.0
-    try:
-        for h in range(r + 1):
-            g = math.exp(log_gamma(h / (2.0 * p.lam) + 1.0))
-            total += (
-                math.comb(r, h)
-                * p.theta**h
-                * (2.0 / p.beta) ** (h / (2.0 * p.lam))
-                * (-p.theta) ** (r - h)
-                * g
-            )
-    except OverflowError:  # from math.exp and float **; a product gives inf
-        total = math.inf
-    if not math.isfinite(total):
-        raise NumericalError(f"baseline moment r={r}: the series leaves the doubles")
-    return total
-
+        v = _v_at(-np.log1p(-pa), p.lam, p.beta)
+        return _result(np.where(pa == 1.0, np.inf, p.theta * v - p.theta))

@@ -56,63 +56,6 @@ from .submodels import DEFAULT_COMPARE, PARAM_LABELS, ModelSpec, get_model
 _BLOCK = 4096
 _FINITE_FLOATS = json.JSONEncoder(allow_nan=False)
 
-# documented shape of fit/compare reports (JSON Schema draft 2020-12)
-REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["data_summary", "models", "selected"],
-    "properties": {
-        "data_summary": {
-            "type": "object",
-            "required": ["n", "min", "max", "skewness", "kurtosis"],
-            "properties": {
-                "n": {"type": "integer", "minimum": 1},
-                "min": {"type": "number"},
-                "max": {"type": "number"},
-                "skewness": {"type": ["number", "null"]},
-                "kurtosis": {"type": ["number", "null"]},
-            },
-        },
-        "models": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": [
-                    "name", "estimates", "fixed", "se",
-                    "nll", "aic", "caic", "hqic", "bic", "converged",
-                    "ks", "ks_pvalue", "cvm", "ad",
-                ],
-                "properties": {
-                    "name": {"type": "string"},
-                    "estimates": {
-                        "type": "object",
-                        "additionalProperties": {"type": "number"},
-                    },
-                    "fixed": {
-                        "type": "object",
-                        "additionalProperties": {"type": "number"},
-                    },
-                    "se": {
-                        "type": "object",
-                        "additionalProperties": {"type": ["number", "null"]},
-                    },
-                    "nll": {"type": "number"},
-                    "aic": {"type": "number"},
-                    "caic": {"type": ["number", "null"]},
-                    "hqic": {"type": "number"},
-                    "bic": {"type": "number"},
-                    "converged": {"type": "boolean"},
-                    "ks": {"type": "number"},
-                    "ks_pvalue": {"type": "number"},
-                    "cvm": {"type": "number"},
-                    "ad": {"type": "number"},
-                },
-            },
-        },
-        "selected": {"type": "string"},
-    },
-}
-
 
 def ingest(path: str) -> Dataset:
     """Read one numeric value per line; a single leading non-numeric

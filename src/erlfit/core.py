@@ -45,14 +45,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy import integrate, special
 
-from .baseline import (
-    _log1mexp,
-    _log_exponent,
-    _log_k_plus_t,
-    _log_transform,
-    _quantile_v,
-    _v_at,
-)
+from .baseline import _log1mexp, _log_exponent, _log_transform, _v_at
 from .errors import NumericalError
 from .specfun import _integer, _log_beta, _on_blocks, _result, inv_reg_inc_beta, reg_inc_beta
 
@@ -97,10 +90,12 @@ class ErlParams:
 
 def _log_density(log_v, t, log_k, a, b, theta, lam, beta):
     """ln g from the transform (ln v, T, ln K) of x inside the support,
-    for float parameters, grouped so the tail exponent -b*T forms before
-    any inf products can appear."""
+    for float parameters, with ln k + T = ln(beta lam / theta) +
+    (2 lam - 1) ln v, grouped so the tail exponent -b*T forms before any
+    inf products can appear."""
     with np.errstate(invalid="ignore"):
-        return (a - 1.0) * log_k + _log_k_plus_t(log_v, theta, lam, beta) - b * t - _log_beta(a, b)
+        log_k_plus_t = math.log(beta * lam / theta) + (2.0 * lam - 1.0) * log_v
+        return (a - 1.0) * log_k + log_k_plus_t - b * t - _log_beta(a, b)
 
 
 def erl_pdf(x, p: ErlParams):
@@ -264,9 +259,10 @@ def erl_quantile(prob, p: ErlParams):
     return _result(v)
 
 
-def erl_sample(n: int, p: ErlParams, seed) -> np.ndarray:
+def erl_sample(n: int, p: ErlParams, seed: int) -> np.ndarray:
     """n draws by the double inverse transform, deterministic per seed."""
     n = _integer(n, 1, "sample size n must be a positive integer")
+    seed = _integer(seed, 0, "seed must be a nonnegative integer")
     return erl_quantile(np.random.default_rng(seed).random(n), p)
 
 
@@ -373,45 +369,3 @@ def erl_kurtosis(p: ErlParams) -> float:
 def erl_cv(p: ErlParams) -> float:
     """Coefficient of variation sqrt(mu2) / mean; NaN when the mean is 0."""
     return shape_summaries(erl_central_moments(p))[2]
-
-
-def normalization_check(p: ErlParams) -> float:
-    """Integrate the implemented density over the support; should be 1.
-
-    Uses the substitution u = K(x): the integrand erl_pdf(x(u)) / k(x(u))
-    equals u^(a-1) (1-u)^(b-1) / B(a,b) when the density chain is
-    consistent, so the integral is evaluated with QUADPACK's
-    algebraic-weight rule, which absorbs the a < 1 / b < 1 endpoint
-    singularities exactly.  The density is evaluated at v taken straight
-    from the quantile transform (not reconstructed from a rounded x,
-    which is unresolvable within one ulp of -theta for small theta*lam).
-    _log_transform starts from x, so the check forms T from that v's ln v
-    through _log_exponent and its ln K = ln(1 - e^-T) through _log1mexp.
-    """
-    a, b = p.a, p.b
-    lnb = _log_beta(a, b)
-
-    def smooth_part(u: float) -> float:
-        if u <= 0.0 or u >= 1.0:
-            # 0/0 at the support ends; the continuous extension is 1/B(a,b)
-            return math.exp(-lnb)
-        with np.errstate(divide="ignore"):
-            log_v = np.log(_quantile_v(u, p))
-        t = float(np.exp(_log_exponent(log_v, p.lam, p.beta)))
-        log_g = float(_log_density(log_v, t, _log1mexp(t), *p.values()))
-        log_k = float(_log_k_plus_t(log_v, p.theta, p.lam, p.beta)) - t
-        return math.exp(
-            log_g - log_k - (a - 1.0) * math.log(u) - (b - 1.0) * math.log1p(-u)
-        )
-
-    value, _err = integrate.quad(
-        smooth_part,
-        0.0,
-        1.0,
-        weight="alg",
-        wvar=(a - 1.0, b - 1.0),
-        epsabs=1e-12,
-        epsrel=1e-12,
-        limit=200,
-    )
-    return float(value)

@@ -24,13 +24,15 @@ import numpy as np
 from scipy.special import kolmogorov
 
 from .estimation import Dataset
+from .specfun import _integer
 
 _AD_CLAMP_LO = 1e-300
 _AD_CLAMP_HI = 1.0 - 1e-16
 
 
-def sample_skewness(data: Dataset) -> float:
-    """m3 / m2^(3/2) with population (1/n) moments; NaN if degenerate."""
+def _standardized_moment(data: Dataset, r: int) -> float:
+    """m_r / m2^(r/2) with population (1/n) central moments; NaN below
+    two points or where m2 is 0."""
     x = data.values
     if x.size < 2:
         return math.nan
@@ -38,20 +40,17 @@ def sample_skewness(data: Dataset) -> float:
     m2 = float(np.mean(d**2))
     if m2 <= 0.0:
         return math.nan
-    m3 = float(np.mean(d**3))
-    return m3 / m2**1.5
+    return float(np.mean(d**r)) / m2 ** (r / 2)
+
+
+def sample_skewness(data: Dataset) -> float:
+    """m3 / m2^(3/2) with population (1/n) moments; NaN if degenerate."""
+    return _standardized_moment(data, 3)
+
 
 def sample_kurtosis(data: Dataset) -> float:
     """Raw kurtosis m4 / m2^2 (NOT excess; Gaussian draws give ~3)."""
-    x = data.values
-    if x.size < 2:
-        return math.nan
-    d = x - x.mean()
-    m2 = float(np.mean(d**2))
-    if m2 <= 0.0:
-        return math.nan
-    m4 = float(np.mean(d**4))
-    return m4 / m2**2
+    return _standardized_moment(data, 4)
 
 
 def _fitted_probs(data: Dataset, cdf: Callable) -> np.ndarray:
@@ -95,8 +94,7 @@ def ks_pvalue(d: float, n: int) -> float:
     """
     if not 0.0 <= d <= 1.0:
         raise ValueError("ks_pvalue requires d in [0, 1]")
-    if n < 1:
-        raise ValueError("ks_pvalue requires n >= 1")
+    n = _integer(n, 1, "ks_pvalue requires an integer n >= 1")
     return float(kolmogorov(math.sqrt(n) * d))
 
 
@@ -143,8 +141,8 @@ def info_criteria(nll: float, k: int, n: int) -> CriteriaReport:
     AIC + 2k(k+1)/(n-k-1); it is NaN when n <= k+1 (the correction's
     denominator would be zero or negative).
     """
-    if k < 0 or n < 1:
-        raise ValueError("info_criteria requires k >= 0 and n >= 1")
+    k = _integer(k, 0, "info_criteria requires an integer k >= 0")
+    n = _integer(n, 1, "info_criteria requires an integer n >= 1")
     aic = 2.0 * nll + 2.0 * k
     bic = 2.0 * nll + k * math.log(n)
     if k == 0:

@@ -3,9 +3,11 @@
 log-gamma, the log-beta function, the regularized incomplete beta
 function and its inverse.  Everything accepts scalars or arrays and
 broadcasts; scalar input gives a Python float back.  Each function
-checks its domain and raises ValueError outside it.  The package calls
-the float kernel _log_beta; the public log_beta has no caller and stays
-because the traced benchmark (perfbench/tracing.py) wraps it by name.
+checks its domain and raises ValueError outside it; every shape
+argument (x of log_gamma, a and b of the others) must be finite and
+> 0.  The package calls the float kernel _log_beta; the public
+log_gamma and log_beta have no caller and stay because the traced
+benchmark (perfbench/tracing.py) wraps them by name.
 
 log_gamma, reg_inc_beta and inv_reg_inc_beta are scipy.special's
 gammaln, betainc and betaincinv.  log_beta stays in-house: scipy's
@@ -106,11 +108,19 @@ def _integer(value, least: int, message: str) -> int:
     return int(value)
 
 
+def _shapes(message: str, *args):
+    """args as float64 arrays if each element is finite and > 0, else
+    ValueError(message): the rule for every shape argument, checked
+    before the arguments broadcast against the others."""
+    arrays = [np.asarray(a, dtype=np.float64) for a in args]
+    if not all(np.all(np.isfinite(arr)) and not np.any(arr <= 0.0) for arr in arrays):
+        raise ValueError(message)
+    return arrays
+
+
 def log_gamma(x):
     """Natural log of the gamma function for x > 0."""
-    (xa,) = _promote(x)
-    if xa.size and (not np.all(np.isfinite(xa)) or np.any(xa <= 0.0)):
-        raise ValueError("log_gamma requires finite x > 0")
+    (xa,) = _shapes("log_gamma requires finite x > 0", x)
     return _result(special.gammaln(xa))
 
 
@@ -143,30 +153,22 @@ def _log_beta(a: float, b: float) -> float:
 
 def log_beta(a, b):
     """ln B(a, b) for a, b > 0 (see the module docstring for the method)."""
-    aa, ba = _promote(a, b)
-    if aa.size and not (np.all(aa > 0.0) and np.all(ba > 0.0)):
-        raise ValueError("log_beta requires a > 0 and b > 0")
+    aa, ba = _promote(*_shapes("log_beta requires finite a > 0 and b > 0", a, b))
     out = np.fromiter(map(_log_beta, aa.ravel().tolist(), ba.ravel().tolist()), np.float64, aa.size)
     return _result(out.reshape(aa.shape))
 
 
 def reg_inc_beta(x, a, b):
     """Regularized incomplete beta function I_x(a, b); exact at x = 0 and 1."""
-    xa, aa, ba = _promote(x, a, b)
-    if xa.size:
-        if np.any(aa <= 0.0) or np.any(ba <= 0.0):
-            raise ValueError("reg_inc_beta requires a > 0 and b > 0")
-        if np.any(xa < 0.0) or np.any(xa > 1.0) or not np.all(np.isfinite(xa)):
-            raise ValueError("reg_inc_beta requires x in [0, 1]")
+    xa, aa, ba = _promote(x, *_shapes("reg_inc_beta requires finite a > 0 and b > 0", a, b))
+    if xa.size and (np.any(xa < 0.0) or np.any(xa > 1.0) or not np.all(np.isfinite(xa))):
+        raise ValueError("reg_inc_beta requires x in [0, 1]")
     return _result(special.betainc(aa, ba, xa))
 
 
 def inv_reg_inc_beta(prob, a, b):
     """Inverse of I_x(a, b) in x for prob in [0, 1]; endpoints map exactly."""
-    pa, aa, ba = _promote(prob, a, b)
-    if pa.size:
-        if np.any(aa <= 0.0) or np.any(ba <= 0.0):
-            raise ValueError("inv_reg_inc_beta requires a > 0 and b > 0")
-        if np.any(pa < 0.0) or np.any(pa > 1.0) or not np.all(np.isfinite(pa)):
-            raise ValueError("inv_reg_inc_beta requires prob in [0, 1]")
+    pa, aa, ba = _promote(prob, *_shapes("inv_reg_inc_beta requires finite a > 0 and b > 0", a, b))
+    if pa.size and (np.any(pa < 0.0) or np.any(pa > 1.0) or not np.all(np.isfinite(pa))):
+        raise ValueError("inv_reg_inc_beta requires prob in [0, 1]")
     return _result(_on_blocks(special.betaincinv, aa, ba, pa))

@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from erlfit.baseline import baseline_moment_series
-from erlfit.cli import REPORT_SCHEMA, main
+from erlfit.cli import main
 from erlfit.core import (
     ErlParams,
     erl_cdf,
@@ -29,12 +28,12 @@ from erlfit.core import (
     erl_raw_moment,
     erl_sample,
     erl_skewness,
-    normalization_check,
 )
 from erlfit.datasets import SYNTHETIC_PARAMS, synthetic_path
 from erlfit.estimation import Dataset, FitConfig, fit_mle, nll, score_ab
 from erlfit.gof import gof_report, info_criteria
 from erlfit.submodels import DEFAULT_COMPARE, get_model
+from oracles import REPORT_SCHEMA, baseline_moment_series, normalization_check
 
 # ---------------------------------------------------------------------
 # criterion 1: a frozen seven-model selection table on n = 37. The nll

@@ -4,8 +4,9 @@ At theta=1, lambda=0.5, beta=2 the law collapses to a unit exponential
 shifted to start at -1, which gives hand-computable reference values.
 The baseline's own density, cdf and draws are the family's erl_pdf,
 erl_cdf and erl_sample at a = b = 1, so those are checked here against
-the defining formula; the quantile and the closed-form moment series
-are the baseline module's own.  Other checks integrate the density with
+the defining formula; the quantile is the baseline module's own, and
+the closed-form moment series is the oracle in oracles.py, checked here
+before other tests lean on it.  Other checks integrate the density with
 scipy.integrate.quad or the Weibull density of scipy.stats.  Every
 parameter record here has a = b = 1, so it is the baseline law itself.
 """
@@ -17,9 +18,10 @@ import pytest
 from scipy import integrate
 from scipy.stats import weibull_min
 
-from erlfit.baseline import baseline_moment_series, baseline_quantile
+from erlfit.baseline import baseline_quantile
 from erlfit.core import ErlParams, erl_cdf, erl_pdf, erl_sample
 from erlfit.errors import NumericalError
+from oracles import baseline_moment_series
 
 EXP_POINT = ErlParams(1.0, 1.0, theta=1.0, lam=0.5, beta=2.0)
 

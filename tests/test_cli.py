@@ -21,13 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erlfit import cli
-from erlfit.cli import REPORT_SCHEMA, ingest, main
+from erlfit.cli import ingest, main
 from erlfit.core import ErlParams, erl_cdf, erl_sample
 from erlfit.datasets import synthetic_path
 from erlfit.errors import InputError
 from erlfit.estimation import Dataset, FitResult
 from erlfit.gof import gof_report, ks_pvalue
 from erlfit.submodels import PARAM_LABELS
+from oracles import REPORT_SCHEMA
 
 # a=b=1 with baseline (1, 0.5, 2) collapses to a unit-rate shifted
 # exponential; a=2 squares its cdf and halves the mean to 1/2

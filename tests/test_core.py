@@ -18,7 +18,7 @@ from scipy.special import betainc, betaincinv, betaln
 from scipy.stats import exponweib, weibull_min
 
 from erlfit import specfun
-from erlfit.baseline import _v_at, baseline_moment_series
+from erlfit.baseline import _v_at
 from erlfit.core import (
     ErlParams,
     erl_cdf,
@@ -33,11 +33,11 @@ from erlfit.core import (
     erl_sample,
     erl_skewness,
     erl_survival,
-    normalization_check,
 )
 from erlfit.datasets import SYNTHETIC_PARAMS, SYNTHETIC_SEED, synthetic_path
 from erlfit.errors import NumericalError
 from erlfit.submodels import PARAM_NAMES
+from oracles import baseline_moment_series, normalization_check
 
 EXP_BASE = {"theta": 1.0, "lam": 0.5, "beta": 2.0}
 EXP_POINT = ErlParams(1.0, 1.0, **EXP_BASE)

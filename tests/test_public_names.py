@@ -1,6 +1,6 @@
 """The names that the package and its traced benchmark promise, the
-form of what its elementwise functions return, and the rule for its
-integer arguments.
+form of what its elementwise functions return, and the rules for its
+integer and shape arguments.
 
 `erlfit.__all__` is the public surface.  The traced benchmark run
 (`perfbench/run.py --trace 1`) looks up each `(module, attribute)` pair
@@ -11,6 +11,7 @@ them breaks that run; these tests break first.
 
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -80,8 +81,11 @@ _INTEGER_ARGUMENTS = {
     "FitConfig.starts": lambda v: erlfit.FitConfig(starts=v),
     "FitConfig.seed": lambda v: erlfit.FitConfig(seed=v),
     "erl_sample": lambda v: erlfit.erl_sample(v, _LAW, 0),
+    "erl_sample.seed": lambda v: erlfit.erl_sample(3, _LAW, v),
     "erl_raw_moment": lambda v: erlfit.erl_raw_moment(v, _LAW),
-    "baseline_moment_series": lambda v: erlfit.baseline_moment_series(v, _LAW),
+    "info_criteria.k": lambda v: erlfit.info_criteria(10.0, v, 37),
+    "info_criteria.n": lambda v: erlfit.info_criteria(10.0, 2, v),
+    "ks_pvalue": lambda v: erlfit.ks_pvalue(0.1, v),
 }
 
 
@@ -93,3 +97,26 @@ def test_integer_arguments_take_integers_only(name, value):
     call(np.int64(2))
     with pytest.raises(ValueError):
         call(value)
+
+
+# log_gamma's rule (TestLogGamma.test_domain in test_specfun.py) for the
+# shape arguments of the other three special functions
+_SHAPE_ARGUMENTS = {
+    "log_beta.a": lambda v: erlfit.log_beta(v, 2.0),
+    "log_beta.b": lambda v: erlfit.log_beta(2.0, v),
+    "reg_inc_beta.a": lambda v: erlfit.reg_inc_beta(0.5, v, 3.0),
+    "reg_inc_beta.b": lambda v: erlfit.reg_inc_beta(0.5, 2.0, v),
+    "inv_reg_inc_beta.a": lambda v: erlfit.inv_reg_inc_beta(0.5, v, 3.0),
+    "inv_reg_inc_beta.b": lambda v: erlfit.inv_reg_inc_beta(0.5, 2.0, v),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0], ids=repr)
+@pytest.mark.parametrize("name", sorted(_SHAPE_ARGUMENTS))
+def test_shape_arguments_are_finite_and_positive(name, value):
+    # every element finite and > 0, alone or in an array
+    call = _SHAPE_ARGUMENTS[name]
+    call(2.0)
+    for bad in (value, np.array([2.0, value])):
+        with pytest.raises(ValueError):
+            call(bad)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from erlfit.core import ErlParams, normalization_check
+from erlfit.core import ErlParams
 from erlfit.submodels import (
     DEFAULT_COMPARE,
     MODELS,
@@ -14,6 +14,7 @@ from erlfit.submodels import (
     ModelSpec,
     get_model,
 )
+from oracles import normalization_check
 
 EXPECTED_CONSTRAINTS = {
     "ERLD": {},
